@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import density as dens
-from .density import GridDensity, read_density, write_density
+from .density import header_line, read_density, write_density
 from .errors import InputError, NumericalError, PriorForgeError
 from .likelihoods import (binomial_counts, multinomial_counts,
                           normal_location, poisson_counts,
@@ -28,12 +27,12 @@ from .pooling import (PoolProblem, PoolWeights, arithmetic_pool,
                       equal_weights, geometric_pool)
 from .propriety import holder_check
 from .reparam import dirichlet_equivalence_report, ordered_prior_diagnostics
-from .sparse_multinomial import (CountVector, HyperPriorSpec,
-                                 canonical_counts, compare_priors,
+from .sparse_multinomial import (HYPER_KINDS, SUMMARY_COLUMNS, CountVector,
+                                 HyperPriorSpec, canonical_counts,
+                                 compare_priors, v_summary_row,
                                  v_summary_table)
-from .special import log_beta, log_gamma
 from .streams import RandomStream
-from .util import thread_cap, write_text_atomic
+from .util import fmt_value, thread_cap, write_text_atomic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,24 +44,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if value != value:
-            return "nan"
-        if value == math.inf:
-            return "inf"
-        if value == -math.inf:
-            return "-inf"
-        return format(value, ".17g")
-    return str(value)
-
-
 def _config_line(config: dict) -> str:
-    parts = [f"{k}={_fmt(v)}" for k, v in config.items()]
+    parts = [f"{k}={fmt_value(v)}" for k, v in config.items()]
     return "# config: " + " ".join(parts)
 
 
@@ -74,7 +57,7 @@ def _emit_table(rows, columns, config, extra_comments=()):
         lines.append(f"# {comment}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        lines.append(",".join(fmt_value(row.get(c)) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -96,6 +79,19 @@ def _write_out(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _emit_rows(args, config, rows, columns, **scalars) -> int:
+    """Write a row table in the requested format: JSON holds the config,
+    the summary scalars and the rows; CSV echoes the scalars as comments
+    above the table."""
+    if args.format == "json":
+        text = _emit_json({"config": config, **scalars, "rows": rows})
+    else:
+        text = _emit_table(rows, columns, config, extra_comments=[
+            f"{k}={fmt_value(v)}" for k, v in scalars.items()])
+    _write_out(text, args.out)
+    return 0
+
+
 def _parse_kv_spec(spec: str):
     """Parse 'family:key=value,key=value' density/component specs."""
     family, _, rest = spec.partition(":")
@@ -113,57 +109,15 @@ def _parse_kv_spec(spec: str):
     return family, params
 
 
-def _spec_float(params, key, spec):
+def _spec_float(params, key, spec, default=None):
     if key not in params:
-        raise InputError(f"spec {spec!r} is missing {key!r}")
+        if default is None:
+            raise InputError(f"spec {spec!r} is missing {key!r}")
+        return default
     try:
         return float(params[key])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"spec {spec!r}: {key} must be a number") from exc
-
-
-def _component_recipe(family: str, params: dict, spec_label: str):
-    """(domain, log-pdf callable, normalized flag) for an analytic family."""
-    if family == "beta":
-        a = _spec_float(params, "a", spec_label)
-        b = _spec_float(params, "b", spec_label)
-        if a <= 0 or b <= 0:
-            raise InputError(f"{spec_label}: beta parameters must be positive")
-        const = log_beta(a, b)
-        return ((0.0, 1.0),
-                lambda x: (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - const,
-                True)
-    if family == "gamma":
-        shape = _spec_float(params, "shape", spec_label)
-        scale = float(params.get("scale", 1.0))
-        if shape <= 0 or scale <= 0:
-            raise InputError(f"{spec_label}: gamma shape and scale must be positive")
-        const = log_gamma(shape) + shape * math.log(scale)
-        return ((0.0, math.inf),
-                lambda x: (shape - 1.0) * np.log(x) - x / scale - const,
-                True)
-    if family == "normal":
-        mean = float(params.get("mean", 0.0))
-        sd = float(params.get("sd", 1.0))
-        if sd <= 0:
-            raise InputError(f"{spec_label}: sd must be positive")
-        const = math.log(sd) + 0.5 * math.log(2.0 * math.pi)
-        return ((-math.inf, math.inf),
-                lambda x: -0.5 * ((x - mean) / sd) ** 2 - const,
-                True)
-    if family == "flat":
-        lo = float(params.get("lo", "-inf"))
-        hi = float(params.get("hi", "inf"))
-        if not lo < hi:
-            raise InputError(f"{spec_label}: need lo < hi")
-        if math.isfinite(lo) and math.isfinite(hi):
-            height = -math.log(hi - lo)
-            return ((lo, hi), lambda x: np.full_like(x, height), True)
-        return ((lo, hi), lambda x: np.zeros_like(x), False)
-    if family == "exp-tilt":
-        b = _spec_float(params, "b", spec_label)
-        return ((-math.inf, math.inf), lambda x: b * x, False)
-    raise InputError(f"unknown density family {family!r} in {spec_label}")
 
 
 def _build_components(specs: list) -> list:
@@ -174,7 +128,8 @@ def _build_components(specs: list) -> list:
     default grid for the common domain type is built once and every
     analytic family is tabulated on it.
     """
-    parsed = []
+    files = []
+    recipes = []
     for i, spec in enumerate(specs):
         if isinstance(spec, str):
             family, params = _parse_kv_spec(spec)
@@ -183,51 +138,43 @@ def _build_components(specs: list) -> list:
             family = spec.get("family")
             params = {k: v for k, v in spec.items() if k != "family"}
             label = f"component {i}"
-        parsed.append((family, params, label))
-
-    files = []
-    recipes = []
-    for family, params, label in parsed:
-        if family == "grid-file":
+        fam = dens.FAMILIES.get(family) if isinstance(family, str) else None
+        if fam is None and family != "grid-file":
+            raise InputError(f"unknown density family {family!r} in {label}")
+        keys = tuple(fam.params) if fam else ("path",)
+        unknown = sorted(set(params) - set(keys))
+        if unknown:
+            raise InputError(f"spec {label!r}: unknown key(s) {', '.join(unknown)}; "
+                             f"{family} takes {', '.join(keys)}")
+        if fam is None:
             path = params.get("path")
             if not path:
                 raise InputError(f"{label}: grid-file needs a path")
             files.append((read_density(path), label))
             recipes.append(None)
-        else:
-            recipes.append(_component_recipe(family, params, label))
+            continue
+        values = {key: _spec_float(params, key, label, default)
+                  for key, default in fam.params.items()}
+        try:
+            recipes.append(fam.build(**values))
+        except InputError as exc:
+            raise InputError(f"{label}: {exc}") from None
 
-    domains = [(d.domain_lo, d.domain_hi) for d, _ in files]
-    domains += [r[0] for r in recipes if r is not None]
-    if len(set(domains)) != 1:
+    domains = ({(d.domain_lo, d.domain_hi) for d, _ in files}
+               | {r[0] for r in recipes if r is not None})
+    if len(domains) != 1:
         raise InputError(
             "all pool components must share one support; got "
-            + ", ".join(sorted({f"[{lo}, {hi}]" for lo, hi in set(domains)}))
+            + ", ".join(sorted(f"[{lo}, {hi}]" for lo, hi in domains))
         )
-    lo, hi = domains[0]
-
-    if files:
-        template = files[0][0]
-        for d, label in files[1:]:
-            if not template.same_grid(d):
-                raise InputError(f"{label}: grid differs from the first grid file")
-    elif math.isfinite(lo) and math.isfinite(hi):
-        template = dens.bounded_density(lambda x: np.zeros_like(x), lo, hi)
-    elif math.isfinite(lo):
-        template = dens.halfline_density(lambda x: np.zeros_like(x), shift=lo)
-    else:
-        template = dens.realline_density(lambda x: np.zeros_like(x))
-
-    out = []
-    file_iter = iter(files)
-    for recipe in recipes:
-        if recipe is None:
-            out.append(next(file_iter)[0])
-        else:
-            _, log_pdf, normalized = recipe
-            out.append(template.with_log_values(log_pdf(template.nodes),
-                                                normalized=normalized))
-    return out
+    template = files[0][0] if files else dens.improper_flat(*domains.pop())
+    for d, label in files[1:]:
+        if not template.same_grid(d):
+            raise InputError(f"{label}: grid differs from the first grid file")
+    file_iter = (d for d, _ in files)
+    return [next(file_iter) if r is None
+            else template.with_log_values(r[1](template.nodes), normalized=r[2])
+            for r in recipes]
 
 
 def _parse_likelihood(name: str, data: str):
@@ -308,7 +255,7 @@ def _cmd_pool(args) -> int:
         else arithmetic_pool(problem)
     config = _effective_config(args, "pool", {
         "spec": _input_name(args.spec), "kind": args.kind,
-        "weights": ",".join(_fmt(float(w)) for w in weights.alphas),
+        "weights": ",".join(fmt_value(float(w)) for w in weights.alphas),
     })
     if args.format == "json":
         payload = {
@@ -322,31 +269,21 @@ def _cmd_pool(args) -> int:
         }
         _write_out(_emit_json(payload), args.out)
     else:
-        extra = [_config_line(config).lstrip("# ")]
-        if pooled.note:
-            extra.append(f"note: {pooled.note}")
+        notes = [f"note: {pooled.note}"] if pooled.note else []
         if args.out:
-            write_density(pooled, args.out, extra_header=extra)
+            write_density(pooled, args.out,
+                          extra_header=[_config_line(config).lstrip("# ")] + notes)
         else:
             rows = [{"abscissa": float(x), "log_density": float(lv)}
                     for x, lv in zip(pooled.nodes, pooled.log_values)]
-            comments = [f"domain={_fmt(pooled.domain_lo)},{_fmt(pooled.domain_hi)} "
-                        f"normalized={1 if pooled.normalized else 0}"]
-            if pooled.note:
-                comments.append(f"note: {pooled.note}")
             text = _emit_table(rows, ["abscissa", "log_density"], config,
-                               extra_comments=comments)
+                               extra_comments=[header_line(pooled)] + notes)
             _write_out(text, None)
     return 0
 
 
 def _cmd_holder(args) -> int:
-    mu_family, mu_params = _parse_kv_spec(args.mu)
-    nu_family, nu_params = _parse_kv_spec(args.nu)
-    components = _build_components([
-        {"family": mu_family, **mu_params},
-        {"family": nu_family, **nu_params},
-    ])
+    components = _build_components([args.mu, args.nu])
     likelihood = _parse_likelihood(args.likelihood, args.data)
     report = holder_check(components[0], components[1], args.alpha,
                           likelihood, args.tol)
@@ -377,45 +314,21 @@ def _cmd_sparse_mn(args) -> int:
     hyper = _hyper_from_args(args)
     if args.configs:
         with open(args.configs) as fh:
-            sweep = json.load(fh)
-        configs = [(c["m"], c["n"], c["r0"]) for c in sweep]
+            configs = [(c["m"], c["n"], c["r0"]) for c in json.load(fh)]
+        rows = v_summary_table(configs, hyper, tolerance=args.tol)
+    elif args.counts:
+        rows = [v_summary_row(_counts_from_args(args), hyper, args.tol)]
     else:
         data = _counts_from_args(args)
-        configs = [(data.m, data.n, data.r0)]
-        if args.counts:
-            rows = _v_rows_for_counts(data, hyper, args.tol)
-            return _finish_sparse(args, hyper, rows)
-    rows = v_summary_table(configs, hyper, tolerance=args.tol)
-    return _finish_sparse(args, hyper, rows)
-
-
-def _v_rows_for_counts(data, hyper, tol):
-    from .sparse_multinomial import v_posterior
-
-    vp = v_posterior(data, hyper, tolerance=tol)
-    row = {
-        "m": data.m, "n": data.n, "r0": data.r0,
-        "hyperprior": hyper.kind, "proper": vp.proper,
-    }
-    for key in ("mode", "median", "mean", "q05", "q95"):
-        row[f"{key}_v"] = vp.summary[key] if vp.proper else None
-    return [row]
-
-
-def _finish_sparse(args, hyper, rows) -> int:
+        rows = v_summary_table([(data.m, data.n, data.r0)], hyper,
+                               tolerance=args.tol)
     config = _effective_config(args, "sparse-mn", {
         "hyperprior": hyper.kind,
         "a_max": hyper.a_max,
         "hyper_file": _input_name(hyper.path),
         "configs": _input_name(args.configs),
     })
-    columns = ["m", "n", "r0", "hyperprior", "proper",
-               "mode_v", "median_v", "mean_v", "q05_v", "q95_v"]
-    if args.format == "json":
-        _write_out(_emit_json({"config": config, "rows": rows}), args.out)
-    else:
-        _write_out(_emit_table(rows, columns, config), args.out)
-    return 0
+    return _emit_rows(args, config, rows, SUMMARY_COLUMNS)
 
 
 def _cmd_compare(args) -> int:
@@ -431,11 +344,7 @@ def _cmd_compare(args) -> int:
                "jeffreys_mean", "jeffreys_lo", "jeffreys_hi",
                "conditional_mean", "conditional_lo", "conditional_hi",
                "hierarchical_mean", "hierarchical_lo", "hierarchical_hi"]
-    if args.format == "json":
-        _write_out(_emit_json({"config": config, "rows": rows}), args.out)
-    else:
-        _write_out(_emit_table(rows, columns, config), args.out)
-    return 0
+    return _emit_rows(args, config, rows, columns)
 
 
 def _cmd_poisson_equiv(args) -> int:
@@ -446,30 +355,13 @@ def _cmd_poisson_equiv(args) -> int:
     config = _effective_config(args, "poisson-equiv", {
         "a": args.a, "m": args.m, "count": args.count, "betas": args.betas,
     })
-    rows = [
-        {
-            "beta_scale": c.beta_scale,
-            "sample_mean": c.sample_mean, "analytic_mean": c.analytic_mean,
-            "mean_tolerance": c.mean_tolerance, "mean_ok": c.mean_ok,
-            "sample_var": c.sample_var, "analytic_var": c.analytic_var,
-            "var_tolerance": c.var_tolerance, "var_ok": c.var_ok,
-            "ks_statistic": c.ks_statistic, "ks_critical": c.ks_critical,
-            "ks_ok": c.ks_ok,
-        }
-        for c in report.checks
-    ]
-    columns = list(rows[0].keys())
-    extras = [f"exact_invariance_sup={_fmt(report.exact_invariance_sup)}",
-              f"all_ok={_fmt(report.all_ok)}"]
-    if args.format == "json":
-        payload = {"config": config,
-                   "exact_invariance_sup": report.exact_invariance_sup,
-                   "all_ok": report.all_ok, "rows": rows}
-        _write_out(_emit_json(payload), args.out)
-    else:
-        _write_out(_emit_table(rows, columns, config, extra_comments=extras),
-                   args.out)
-    return 0
+    columns = ["beta_scale", "sample_mean", "analytic_mean", "mean_tolerance",
+               "mean_ok", "sample_var", "analytic_var", "var_tolerance",
+               "var_ok", "ks_statistic", "ks_critical", "ks_ok"]
+    rows = [{c: getattr(check, c) for c in columns} for check in report.checks]
+    return _emit_rows(args, config, rows, columns,
+                      exact_invariance_sup=report.exact_invariance_sup,
+                      all_ok=report.all_ok)
 
 
 def _cmd_ordered_mn(args) -> int:
@@ -478,25 +370,10 @@ def _cmd_ordered_mn(args) -> int:
     config = _effective_config(args, "ordered-mn", {
         "m": args.m, "count": args.count,
     })
-    rows = [
-        {
-            "k": r.k,
-            "analytic_mean": r.analytic_mean,
-            "empirical_mean": r.empirical_mean,
-            "empirical_median": r.empirical_median,
-        }
-        for r in report.rows
-    ]
-    extras = [f"k_star={report.k_star}", f"mean_sum={_fmt(report.mean_sum)}"]
-    if args.format == "json":
-        payload = {"config": config, "k_star": report.k_star,
-                   "mean_sum": report.mean_sum, "rows": rows}
-        _write_out(_emit_json(payload), args.out)
-    else:
-        _write_out(_emit_table(
-            rows, ["k", "analytic_mean", "empirical_mean", "empirical_median"],
-            config, extra_comments=extras), args.out)
-    return 0
+    columns = ["k", "analytic_mean", "empirical_mean", "empirical_median"]
+    rows = [{c: getattr(r, c) for c in columns} for r in report.rows]
+    return _emit_rows(args, config, rows, columns,
+                      k_star=report.k_star, mean_sum=report.mean_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +421,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--r0", type=int, default=None)
         p.add_argument("--counts", default=None,
                        help="explicit comma-separated cell counts")
-        p.add_argument("--hyperprior", default="pareto-v",
-                       choices=("pareto-v", "flat-in-a", "flat-in-log-a",
-                                "grid-file"))
+        p.add_argument("--hyperprior", default="pareto-v", choices=HYPER_KINDS)
         p.add_argument("--a-max", type=float, default=None, dest="a_max")
         p.add_argument("--hyper-file", default=None, dest="hyper_file",
                        help="density file for --hyperprior grid-file")

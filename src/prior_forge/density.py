@@ -15,14 +15,14 @@ The `normalized` flag certifies unit mass under this package's quadrature
 from __future__ import annotations
 
 import math
-import os
-import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError
 from .special import log_beta, log_gamma
+from .util import fmt_value, write_text_atomic
 
 MIN_NODES = 16
 
@@ -114,8 +114,8 @@ class GridDensity:
 
     def with_log_values(self, log_values, *, normalized=False, note="") -> "GridDensity":
         """New density on the same grid and map with replaced log values."""
-        lv = np.asarray(log_values, dtype=float)
-        return replace(self, log_values=lv, normalized=normalized, note=note)
+        return replace(self, log_values=log_values, normalized=normalized,
+                       note=note)
 
     def shifted(self, offset: float, *, normalized=False, note="") -> "GridDensity":
         """New density with a constant added to the log values."""
@@ -135,25 +135,29 @@ def _derive_map(nodes, lo, hi):
     if math.isfinite(lo) and math.isfinite(hi):
         return nodes.copy(), lo, hi, np.zeros_like(nodes)
     if math.isfinite(lo) and hi == math.inf:
-        y = nodes - lo
-        c = float(np.median(y))
-        s = y / (c + y)
-        logjac = math.log(c) - 2.0 * np.log1p(-s)
+        s, logjac = _halfline_map(nodes - lo, float(np.median(nodes - lo)))
         return s, 0.0, 1.0, logjac
     if lo == -math.inf and math.isfinite(hi):
-        y = hi - nodes
-        c = float(np.median(y))
-        s = -y / (c + y)
-        logjac = math.log(c) - 2.0 * np.log1p(s)
-        return s, -1.0, 0.0, logjac
+        s, logjac = _halfline_map(hi - nodes, float(np.median(hi - nodes)))
+        return -s, -1.0, 0.0, logjac
     if lo == -math.inf and hi == math.inf:
         center = float(np.median(nodes))
         q1, q3 = np.quantile(nodes, [0.25, 0.75])
         c = max(float(q3 - q1) / 2.0, 1e-6)
         u = np.arctan((nodes - center) / c) / math.pi + 0.5
-        logjac = math.log(c * math.pi) - 2.0 * np.log(np.cos(math.pi * (u - 0.5)))
-        return u, 0.0, 1.0, logjac
+        return u, 0.0, 1.0, _arctan_log_jacobian(u, c)
     raise InputError("unsupported domain specification")
+
+
+def _halfline_map(y, c):
+    """s = y/(c+y) for distances y from the finite endpoint, and log dy/ds."""
+    s = y / (c + y)
+    return s, math.log(c) - 2.0 * np.log1p(-s)
+
+
+def _arctan_log_jacobian(u, c):
+    """log dx/du for x = center + c*tan(pi*(u - 1/2))."""
+    return math.log(c * math.pi) - 2.0 * np.log(np.cos(math.pi * (u - 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +203,9 @@ def halfline_density(log_pdf, scale: float = 1.0, n: int = 4097, *,
     if scale <= 0:
         raise InputError("scale must be positive")
     y = np.geomspace(lo_frac * scale, hi_frac * scale, n)
-    s = y / (scale + y)
-    logjac = math.log(scale) - 2.0 * np.log1p(-s)
+    s, logjac = _halfline_map(y, scale)
     x = shift + y
-    lv = np.asarray(log_pdf(x), dtype=float)
-    return GridDensity(shift, math.inf, x, lv, normalized=normalized,
+    return GridDensity(shift, math.inf, x, log_pdf(x), normalized=normalized,
                        t_nodes=s, t_lo=0.0, t_hi=1.0, log_jacobian=logjac,
                        note=note)
 
@@ -220,85 +222,139 @@ def realline_density(log_pdf, center: float = 0.0, scale: float = 4.0,
         raise InputError("scale must be positive")
     u = np.linspace(1e-10, 1.0 - 1e-10, n)
     x = center + scale * np.tan(math.pi * (u - 0.5))
-    logjac = math.log(scale * math.pi) - 2.0 * np.log(np.abs(np.cos(math.pi * (u - 0.5))))
-    lv = np.asarray(log_pdf(x), dtype=float)
-    return GridDensity(-math.inf, math.inf, x, lv, normalized=normalized,
-                       t_nodes=u, t_lo=0.0, t_hi=1.0, log_jacobian=logjac,
-                       note=note)
+    return GridDensity(-math.inf, math.inf, x, log_pdf(x), normalized=normalized,
+                       t_nodes=u, t_lo=0.0, t_hi=1.0,
+                       log_jacobian=_arctan_log_jacobian(u, scale), note=note)
 
 
 def bounded_density(log_pdf, lo: float, hi: float, n: int = 4097, *,
                     normalized: bool = False, note: str = "") -> GridDensity:
     """Density on a bounded support tabulated from a log-pdf callable."""
     x = bounded_nodes(lo, hi, n)
-    lv = np.asarray(log_pdf(x), dtype=float)
-    return GridDensity(lo, hi, x, lv, normalized=normalized, note=note)
+    return GridDensity(lo, hi, x, log_pdf(x), normalized=normalized, note=note)
 
 
 # ---------------------------------------------------------------------------
 # standard kernels
 
 
-def beta_density(a: float, b: float, n: int = 4097) -> GridDensity:
-    """Normalized Beta(a, b) density on (0, 1)."""
+def _check_support(lo: float, hi: float) -> None:
+    """Reject a support that no default grid covers.
+
+    The default grids span a bounded interval, a half-line [lo, inf) and
+    the whole real line.
+    """
+    if not lo < hi:
+        raise InputError(f"support [{lo}, {hi}] needs lo < hi")
+    if lo == -math.inf and hi != math.inf:
+        raise InputError(
+            f"unsupported support [{lo}, {hi}]: default grids cover a "
+            "bounded interval, [lo, inf) and the whole real line"
+        )
+
+
+def _beta(a, b):
     if a <= 0 or b <= 0:
         raise InputError("beta parameters must be positive")
     const = log_beta(a, b)
+    return ((0.0, 1.0),
+            lambda x: (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - const,
+            True)
 
-    def lp(x):
-        return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - const
 
-    return bounded_density(lp, 0.0, 1.0, n, normalized=True)
+def _gamma(shape, scale):
+    if shape <= 0 or scale <= 0:
+        raise InputError("gamma shape and scale must be positive")
+    const = log_gamma(shape) + shape * math.log(scale)
+    return ((0.0, math.inf),
+            lambda x: (shape - 1.0) * np.log(x) - x / scale - const,
+            True)
+
+
+def _normal(mean, sd):
+    if sd <= 0:
+        raise InputError("sd must be positive")
+    const = math.log(sd) + 0.5 * math.log(2.0 * math.pi)
+    return ((-math.inf, math.inf),
+            lambda x: -0.5 * ((x - mean) / sd) ** 2 - const,
+            True)
+
+
+def _flat(lo, hi):
+    _check_support(lo, hi)
+    if math.isfinite(hi):
+        height = -math.log(hi - lo)
+        return (lo, hi), lambda x: np.full_like(x, height), True
+    return (lo, hi), np.zeros_like, False
+
+
+def _exp_tilt(b):
+    return (-math.inf, math.inf), lambda x: b * x, False
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named density family.
+
+    params: parameter names in order, each with its default (None marks a
+        required parameter).
+    build: validates keyword parameters and returns
+        ((domain_lo, domain_hi), log_pdf callable, normalized flag).
+    """
+
+    params: dict
+    build: Callable
+
+
+FAMILIES = {
+    "beta": Family({"a": None, "b": None}, _beta),
+    "gamma": Family({"shape": None, "scale": 1.0}, _gamma),
+    "normal": Family({"mean": 0.0, "sd": 1.0}, _normal),
+    "flat": Family({"lo": -math.inf, "hi": math.inf}, _flat),
+    "exp-tilt": Family({"b": None}, _exp_tilt),
+}
+
+
+def beta_density(a: float, b: float, n: int = 4097) -> GridDensity:
+    """Normalized Beta(a, b) density on (0, 1)."""
+    (lo, hi), lp, normalized = FAMILIES["beta"].build(a, b)
+    return bounded_density(lp, lo, hi, n, normalized=normalized)
 
 
 def gamma_density(shape: float, scale: float = 1.0, n: int = 4097) -> GridDensity:
     """Normalized Gamma density on (0, inf), shape-scale convention."""
-    if shape <= 0 or scale <= 0:
-        raise InputError("gamma shape and scale must be positive")
-    const = log_gamma(shape) + shape * math.log(scale)
-
-    def lp(x):
-        return (shape - 1.0) * np.log(x) - x / scale - const
-
-    return halfline_density(lp, scale=scale, n=n, normalized=True)
+    _, lp, normalized = FAMILIES["gamma"].build(shape, scale)
+    return halfline_density(lp, scale=scale, n=n, normalized=normalized)
 
 
 def normal_density(mean: float = 0.0, sd: float = 1.0, n: int = 2049) -> GridDensity:
     """Normalized normal density on the real line."""
-    if sd <= 0:
-        raise InputError("sd must be positive")
-    const = math.log(sd) + 0.5 * math.log(2.0 * math.pi)
-
-    def lp(x):
-        return -0.5 * ((x - mean) / sd) ** 2 - const
-
-    return realline_density(lp, center=mean, scale=4.0 * sd, n=n, normalized=True)
+    _, lp, normalized = FAMILIES["normal"].build(mean, sd)
+    return realline_density(lp, center=mean, scale=4.0 * sd, n=n,
+                            normalized=normalized)
 
 
 def flat_density(lo: float, hi: float, n: int = 4097) -> GridDensity:
     """Normalized uniform density on a bounded interval."""
-    height = -math.log(hi - lo)
-    return bounded_density(lambda x: np.full_like(x, height), lo, hi, n,
-                           normalized=True)
+    _, lp, normalized = FAMILIES["flat"].build(lo, hi)
+    return bounded_density(lp, lo, hi, n, normalized=normalized)
 
 
 def improper_flat(domain_lo: float, domain_hi: float, n: int = None) -> GridDensity:
     """Constant log-density 0 on the declared support; not normalizable
     when the support is unbounded."""
-    if math.isfinite(domain_lo) and math.isfinite(domain_hi):
-        return bounded_density(lambda x: np.zeros_like(x), domain_lo, domain_hi,
-                               n or 4097)
-    if math.isfinite(domain_lo) and domain_hi == math.inf:
-        return halfline_density(lambda x: np.zeros_like(x), shift=domain_lo,
-                                n=n or 4097)
-    if domain_lo == -math.inf and domain_hi == math.inf:
-        return realline_density(lambda x: np.zeros_like(x), n=n or 2049)
-    raise InputError("unsupported domain for a flat density")
+    _check_support(domain_lo, domain_hi)
+    if math.isfinite(domain_hi):
+        return bounded_density(np.zeros_like, domain_lo, domain_hi, n or 4097)
+    if math.isfinite(domain_lo):
+        return halfline_density(np.zeros_like, shift=domain_lo, n=n or 4097)
+    return realline_density(np.zeros_like, n=n or 2049)
 
 
 def exp_tilt_density(b: float, n: int = 2049) -> GridDensity:
     """Improper density proportional to exp(b*x) on the real line."""
-    return realline_density(lambda x: b * x, n=n)
+    _, lp, _ = FAMILIES["exp-tilt"].build(b)
+    return realline_density(lp, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -322,41 +378,24 @@ def log_interp(density: GridDensity, x) -> np.ndarray:
 # CSV persistence
 
 
-def _fmt(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return format(x, ".17g")
+def header_line(density: GridDensity) -> str:
+    """The fixed `domain=<lo>,<hi> normalized=<0|1>` header of the CSV form."""
+    return (f"domain={fmt_value(density.domain_lo)},{fmt_value(density.domain_hi)} "
+            f"normalized={1 if density.normalized else 0}")
 
 
 def write_density(density: GridDensity, path: str, extra_header=()) -> None:
     """Write a density to CSV.
 
-    First line is the fixed header
-    `# domain=<lo>,<hi> normalized=<0|1>`; optional extra header lines
-    follow as additional comments; then one `abscissa,log_density` row per
-    node. The write is atomic (temp file + rename).
+    First line is `# ` plus header_line(density); optional extra header
+    lines follow as additional comments; then one `abscissa,log_density`
+    row per node. The write is atomic (temp file + rename).
     """
-    lines = [
-        f"# domain={_fmt(density.domain_lo)},{_fmt(density.domain_hi)} "
-        f"normalized={1 if density.normalized else 0}"
-    ]
-    for extra in extra_header:
-        lines.append(f"# {extra}")
+    lines = ["# " + header_line(density)]
+    lines += [f"# {extra}" for extra in extra_header]
     for x, lv in zip(density.nodes, density.log_values):
-        lines.append(f"{_fmt(float(x))},{_fmt(float(lv))}")
-    payload = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        lines.append(f"{fmt_value(float(x))},{fmt_value(float(lv))}")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_density(path: str) -> GridDensity:

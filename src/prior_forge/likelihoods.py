@@ -20,8 +20,7 @@ from .errors import InputError
 class LikelihoodModel:
     """A univariate log-likelihood kernel over a parameter domain.
 
-    family: one of "normal-location", "binomial", "poisson",
-        "multinomial", "grid".
+    family: one of "normal-location", "binomial", "poisson", "grid".
     data: the observed data in family-specific form.
     domain_lo / domain_hi: the parameter domain the kernel is defined on.
     """
@@ -39,7 +38,7 @@ class LikelihoodModel:
         if self.family == "normal-location":
             obs = np.asarray(self.data, dtype=float)
             return -0.5 * np.sum((x[..., None] - obs[None, :]) ** 2, axis=-1)
-        if self.family in ("binomial", "multinomial"):
+        if self.family == "binomial":
             k, n = self.data
             out = np.zeros_like(x)
             if k > 0:
@@ -95,9 +94,9 @@ def poisson_counts(counts) -> LikelihoodModel:
 def multinomial_counts(counts) -> LikelihoodModel:
     """Multinomial likelihood kernel, two-cell form.
 
-    The propriety machinery is univariate, so only the two-cell case
-    (equivalent to a binomial in the first cell's probability) is
-    supported; larger tables are rejected.
+    The propriety machinery is univariate, so only the two-cell case is
+    supported; it is the binomial kernel in the first cell's probability,
+    and larger tables are rejected.
     """
     arr = np.atleast_1d(np.asarray(counts))
     if len(arr) != 2:
@@ -107,8 +106,7 @@ def multinomial_counts(counts) -> LikelihoodModel:
         )
     if np.any(arr != np.floor(arr)) or np.any(arr < 0) or arr.sum() < 1:
         raise InputError("counts must be nonnegative integers with a positive total")
-    k, n = int(arr[0]), int(arr.sum())
-    return LikelihoodModel("multinomial", (k, n), 0.0, 1.0)
+    return binomial_counts(int(arr[0]), int(arr.sum()))
 
 
 def tabulated_likelihood(nodes, log_values, domain_lo: float,

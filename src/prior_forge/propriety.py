@@ -70,6 +70,27 @@ def posterior_mass(prior: GridDensity, likelihood: LikelihoodModel,
     return ProprietyVerdict(res, True, "finite positive posterior mass")
 
 
+def _require_proper(prior: GridDensity, likelihood: LikelihoodModel,
+                    tolerance: float, failure: str) -> ProprietyVerdict:
+    """posterior_mass of a prior that a check needs proper; raises
+    InputError with `failure` and the diagnostics otherwise."""
+    verdict = posterior_mass(prior, likelihood, tolerance)
+    if not verdict.proper:
+        raise InputError(f"{failure} ({verdict.diagnostics})")
+    return verdict
+
+
+def _mass_bound(weighted_masses) -> tuple:
+    """Weighted geometric mean prod_i I_i^a_i of posterior masses, and its
+    error from the masses' relative errors, over (a_i, I_i) pairs."""
+    log_bound = rel_err = 0.0
+    for a, mass in weighted_masses:
+        log_bound += a * mass.log_value
+        rel_err += a * mass.abs_error_estimate / mass.value
+    bound = math.exp(log_bound)
+    return bound, bound * rel_err
+
+
 @dataclass(frozen=True)
 class HolderReport:
     """Outcome of the interpolation-inequality check.
@@ -104,28 +125,15 @@ def holder_check(mu: GridDensity, nu: GridDensity, alpha: float,
         raise InputError("alpha must lie in [0, 1]")
     if not mu.same_grid(nu):
         raise InputError("mu and nu must share a grid")
-    mu_verdict = posterior_mass(mu, likelihood, tolerance)
-    if not mu_verdict.proper:
-        raise InputError(
-            "holder_check precondition failed: posterior under mu is not "
-            "proper (" + mu_verdict.diagnostics + ")"
-        )
-    nu_verdict = posterior_mass(nu, likelihood, tolerance)
-    if not nu_verdict.proper:
-        raise InputError(
-            "holder_check precondition failed: posterior under nu is not "
-            "proper (" + nu_verdict.diagnostics + ")"
-        )
+    failed = "holder_check precondition failed: posterior under {} is not proper"
+    mu_verdict = _require_proper(mu, likelihood, tolerance, failed.format("mu"))
+    nu_verdict = _require_proper(nu, likelihood, tolerance, failed.format("nu"))
 
-    log_like = likelihood.log_on(mu.nodes)
-    parts = [log_like]
+    blend = likelihood.log_on(mu.nodes)
     if alpha > 0.0:
-        parts.append(alpha * mu.log_values)
+        blend = blend + alpha * mu.log_values
     if alpha < 1.0:
-        parts.append((1.0 - alpha) * nu.log_values)
-    blend = parts[0]
-    for p in parts[1:]:
-        blend = blend + p
+        blend = blend + (1.0 - alpha) * nu.log_values
     lhs_res = integrate(mu.with_log_values(blend), tolerance)
     if lhs_res.diverged:
         # mathematically impossible under the preconditions; numerical
@@ -137,13 +145,8 @@ def holder_check(mu: GridDensity, nu: GridDensity, alpha: float,
     lhs = lhs_res.value
     lhs_err = lhs_res.abs_error_estimate
 
-    i_mu, i_nu = mu_verdict.mass, nu_verdict.mass
-    log_rhs = alpha * i_mu.log_value + (1.0 - alpha) * i_nu.log_value
-    rhs = math.exp(log_rhs)
-    rhs_err = rhs * (
-        alpha * i_mu.abs_error_estimate / i_mu.value
-        + (1.0 - alpha) * i_nu.abs_error_estimate / i_nu.value
-    )
+    rhs, rhs_err = _mass_bound(((alpha, mu_verdict.mass),
+                                (1.0 - alpha, nu_verdict.mass)))
     # a few ulps of slack on top of the quadrature errors: at the alpha
     # endpoints both sides are the same integral reached through different
     # arithmetic, and pure rounding must not read as a violation
@@ -183,35 +186,17 @@ def pooled_propriety(problem: PoolProblem, likelihood: LikelihoodModel,
     kernel is used unnormalized (the bound is stated for raw components).
     """
     al = problem.weights.alphas
-    verdicts = []
-    for i, (a, comp) in enumerate(zip(al, problem.components)):
-        if a == 0.0:
-            verdicts.append(None)
-            continue
-        verdict = posterior_mass(comp, likelihood, tolerance)
-        if not verdict.proper:
-            raise InputError(
-                f"pooled_propriety precondition failed: component {i} has an "
-                "improper posterior (" + verdict.diagnostics + ")"
-            )
-        verdicts.append(verdict)
-
-    log_bound = 0.0
-    rel_err = 0.0
-    for a, verdict in zip(al, verdicts):
-        if verdict is None:
-            continue
-        log_bound += a * verdict.mass.log_value
-        rel_err += a * verdict.mass.abs_error_estimate / verdict.mass.value
-    bound = math.exp(log_bound)
-    bound_err = bound * rel_err
+    verdicts = [
+        None if a == 0.0 else _require_proper(
+            comp, likelihood, tolerance, "pooled_propriety precondition "
+            f"failed: component {i} has an improper posterior")
+        for i, (a, comp) in enumerate(zip(al, problem.components))
+    ]
+    bound, bound_err = _mass_bound((a, v.mass) for a, v in zip(al, verdicts)
+                                   if v is not None)
 
     pooled_kernel = problem.grid.with_log_values(_weighted_log_sum(problem))
-    log_like = likelihood.log_on(pooled_kernel.nodes)
-    pooled_post = pooled_kernel.with_log_values(
-        pooled_kernel.log_values + log_like
-    )
-    res = integrate(pooled_post, tolerance)
+    res = integrate(_posterior_density(pooled_kernel, likelihood), tolerance)
     if res.diverged:
         raise NumericalError(
             "pooled posterior classified divergent although every component "

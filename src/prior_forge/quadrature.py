@@ -327,15 +327,19 @@ def normalize(density: GridDensity, tolerance: float = DEFAULT_TOL) -> GridDensi
     return density.shifted(-res.log_value, normalized=True, note=note)
 
 
-def _trapezoid_cdf(density: GridDensity):
-    """Cumulative trapezoid masses over the x-nodes, renormalized to 1."""
+def _trapezoid_masses(density: GridDensity) -> np.ndarray:
+    """Trapezoid mass of each cell between consecutive x-nodes."""
     with np.errstate(over="ignore"):
         g = np.where(np.isfinite(density.log_values),
                      np.exp(density.log_values), 0.0)
     if not np.all(np.isfinite(g)):
-        raise NumericalError("density values overflow; cannot form a CDF")
-    masses = 0.5 * (g[1:] + g[:-1]) * np.diff(density.nodes)
-    cdf = np.concatenate([[0.0], np.cumsum(masses)])
+        raise NumericalError("density values overflow; cannot form trapezoid masses")
+    return 0.5 * (g[1:] + g[:-1]) * np.diff(density.nodes)
+
+
+def _trapezoid_cdf(density: GridDensity):
+    """Cumulative trapezoid masses over the x-nodes, renormalized to 1."""
+    cdf = np.concatenate([[0.0], np.cumsum(_trapezoid_masses(density))])
     total = cdf[-1]
     if not (total > 0 and math.isfinite(total)):
         raise NumericalError("density mass is zero or non-finite on the grid")

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import betainc, kolmogi
 
 from .errors import InputError
+from .sampling import _normalized_gamma
 from .streams import RandomStream
 
 
@@ -74,9 +75,7 @@ def gamma_normalize_sample(a: float, beta: float, m: int, count: int,
         raise InputError("need at least 2 cells")
     if count <= 0:
         raise InputError("count must be positive")
-    rng = stream.generator()
-    g = rng.standard_gamma(a, size=(count, m)) * beta
-    return g / g.sum(axis=1, keepdims=True)
+    return _normalized_gamma(stream.generator(), a, (count, m), beta)
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,7 @@ def dirichlet_equivalence_report(a: float, m: int, count: int, betas,
 
     checks = []
     for j, b in enumerate(scales):
-        rng = stream.substream(j)
-        g = rng.standard_gamma(a, size=(count, m)) * b
-        theta = g / g.sum(axis=1, keepdims=True)
+        theta = _normalized_gamma(stream.substream(j), a, (count, m), b)
         coord = np.sort(theta[:, 0])
         smean = float(coord.mean())
         svar = float(coord.var(ddof=1))

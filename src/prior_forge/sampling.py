@@ -36,6 +36,13 @@ def sample_dirichlet(alphas, count: int, stream: RandomStream) -> np.ndarray:
         raise InputError("alphas must be finite and strictly positive")
     if count <= 0:
         raise InputError("count must be positive")
-    rng = stream.generator()
-    g = rng.standard_gamma(al, size=(count, len(al)))
+    return _normalized_gamma(stream.generator(), al, (count, len(al)))
+
+
+def _normalized_gamma(rng: np.random.Generator, shape, size,
+                      scale: float = 1.0) -> np.ndarray:
+    """Rows of independent Gamma(shape, scale) draws, each divided by its
+    sum. The scale multiplies the standard draws explicitly, so it cancels
+    up to rounding."""
+    g = rng.standard_gamma(shape, size=size) * scale
     return g / g.sum(axis=1, keepdims=True)

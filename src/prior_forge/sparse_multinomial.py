@@ -22,15 +22,15 @@ from scipy.special import betainc, betaincinv, gammaln
 from . import density as dens
 from .density import GridDensity, log_interp, read_density
 from .errors import InputError, NumericalError
-from .quadrature import (DEFAULT_TOL, QuadratureResult, integrate, mode,
-                         normalize, quantile)
+from .quadrature import (DEFAULT_TOL, QuadratureResult, _trapezoid_masses,
+                         integrate, mode, normalize, quantile)
 from .util import thread_cap
 
 V_GRID_LO = 1e-4
 V_GRID_HI = 1e4
 V_GRID_NODES = 2049
 
-HYPER_KINDS = ("flat-in-a", "flat-in-log-a", "pareto-v", "grid-file")
+HYPER_KINDS = ("pareto-v", "flat-in-a", "flat-in-log-a", "grid-file")
 
 
 @dataclass(frozen=True)
@@ -220,18 +220,30 @@ def v_posterior(data: CountVector, hyper: HyperPriorSpec,
             proper=False,
         )
     posterior = normalize(kernel, tolerance)
-    mean_res = integrate(
-        posterior.with_log_values(posterior.log_values + np.log(posterior.nodes)),
-        tolerance,
-    )
     summary = {
         "mode": mode(posterior),
         "median": quantile(posterior, 0.5),
-        "mean": mean_res.value,
+        "mean": _expectation(posterior, posterior.nodes, tolerance),
         "q05": quantile(posterior, 0.05),
         "q95": quantile(posterior, 0.95),
     }
     return VPosterior(density=posterior, mass=res, proper=True, summary=summary)
+
+
+SUMMARY_COLUMNS = ("m", "n", "r0", "hyperprior", "proper",
+                   "mode_v", "median_v", "mean_v", "q05_v", "q95_v")
+
+
+def v_summary_row(data: CountVector, hyper: HyperPriorSpec,
+                  tolerance: float = DEFAULT_TOL) -> dict:
+    """One summary row (keys SUMMARY_COLUMNS) for the v-posterior of the
+    counts; the summaries are None when the posterior is improper."""
+    vp = v_posterior(data, hyper, tolerance=tolerance)
+    row = {"m": data.m, "n": data.n, "r0": data.r0,
+           "hyperprior": hyper.kind, "proper": vp.proper}
+    for key in ("mode", "median", "mean", "q05", "q95"):
+        row[f"{key}_v"] = vp.summary[key] if vp.proper else None
+    return row
 
 
 def v_summary_table(configs, hyper: HyperPriorSpec,
@@ -241,22 +253,9 @@ def v_summary_table(configs, hyper: HyperPriorSpec,
     Rows keep the input order; work is parallelized across configurations
     (thread count capped by PRIOR_FORGE_THREADS) without affecting output.
     """
-    cfgs = [(int(m), int(n), int(r0)) for (m, n, r0) in configs]
-
-    def one(cfg):
-        m, n, r0 = cfg
-        vp = v_posterior(canonical_counts(m, n, r0), hyper, tolerance=tolerance)
-        row = {
-            "m": m, "n": n, "r0": r0,
-            "hyperprior": hyper.kind,
-            "proper": vp.proper,
-        }
-        for key in ("mode", "median", "mean", "q05", "q95"):
-            row[f"{key}_v"] = vp.summary[key] if vp.proper else None
-        return row
-
+    data = [canonical_counts(int(m), int(n), int(r0)) for (m, n, r0) in configs]
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        return list(pool.map(one, cfgs))
+        return list(pool.map(lambda d: v_summary_row(d, hyper, tolerance), data))
 
 
 def _beta_mean_interval(a: float, b: float, level: float = 0.95):
@@ -265,28 +264,10 @@ def _beta_mean_interval(a: float, b: float, level: float = 0.95):
     return a / (a + b), float(lo), float(hi)
 
 
-def _hier_cell_mean(data: CountVector, cell_count: int,
-                    posterior: GridDensity, tolerance: float) -> float:
-    """E[(n_i + a)/(n + v)] over the v-posterior, with a = v/m."""
-    v = posterior.nodes
-    ratio = (cell_count + v / data.m) / (data.n + v)
-    res = integrate(
-        posterior.with_log_values(posterior.log_values + np.log(ratio)),
-        tolerance,
-    )
-    return res.value
-
-
-def _trapezoid_weights(posterior: GridDensity) -> np.ndarray:
-    g = np.exp(posterior.log_values)
-    w = np.zeros_like(g)
-    cell = 0.5 * (g[1:] + g[:-1]) * np.diff(posterior.nodes)
-    w[:-1] += 0.5 * cell
-    w[1:] += 0.5 * cell
-    total = w.sum()
-    if not (total > 0):
-        raise NumericalError("v-posterior mass vanished on the grid")
-    return w / total
+def _expectation(posterior: GridDensity, values, tolerance: float) -> float:
+    """E[f] over a normalized posterior, given positive f at its nodes."""
+    return integrate(posterior.with_log_values(posterior.log_values + np.log(values)),
+                     tolerance).value
 
 
 def _hier_cell_interval(data: CountVector, cell_count: int,
@@ -297,7 +278,14 @@ def _hier_cell_interval(data: CountVector, cell_count: int,
     F(x) = sum_k w_k BetaCDF(x; n_i + a_k, n + v_k - n_i - a_k) is then
     inverted by bisection.
     """
-    w = _trapezoid_weights(posterior)
+    cell = _trapezoid_masses(posterior)
+    w = np.zeros(len(posterior.nodes))
+    w[:-1] += 0.5 * cell
+    w[1:] += 0.5 * cell
+    total = w.sum()
+    if not (total > 0):
+        raise NumericalError("v-posterior mass vanished on the grid")
+    w = w / total
     v = posterior.nodes
     a_cell = cell_count + v / data.m
     b_cell = data.n + v - a_cell
@@ -348,24 +336,22 @@ def compare_priors(data: CountVector, hyper: HyperPriorSpec,
     rows = []
     for kind, idx in cells:
         c = int(counts[idx])
-        row = {"cell": kind, "count": c}
-        jp = jeffreys_posterior(data)
-        a_j, b_j = cell_posterior_marginal(jp, idx)
-        row["jeffreys_mean"], row["jeffreys_lo"], row["jeffreys_hi"] = \
-            _beta_mean_interval(a_j, b_j)
-        cond = counts.astype(float) + a_point
-        a_c, b_c = cell_posterior_marginal(cond, idx)
-        row["conditional_mean"], row["conditional_lo"], row["conditional_hi"] = \
-            _beta_mean_interval(a_c, b_c)
+        summaries = {
+            "jeffreys": _beta_mean_interval(
+                *cell_posterior_marginal(jeffreys_posterior(data), idx)),
+            "conditional": _beta_mean_interval(
+                *cell_posterior_marginal(counts.astype(float) + a_point, idx)),
+            "hierarchical": (None, None, None),
+        }
         if vp.proper:
-            row["hierarchical_mean"] = _hier_cell_mean(data, c, vp.density,
-                                                       tolerance)
-            lo, hi = _hier_cell_interval(data, c, vp.density)
-            row["hierarchical_lo"], row["hierarchical_hi"] = lo, hi
-        else:
-            row["hierarchical_mean"] = None
-            row["hierarchical_lo"] = None
-            row["hierarchical_hi"] = None
+            # E[(n_i + a)/(n + v)] over the v-posterior, with a = v/m
+            v = vp.density.nodes
+            summaries["hierarchical"] = (
+                _expectation(vp.density, (c + v / data.m) / (data.n + v), tolerance),
+                *_hier_cell_interval(data, c, vp.density))
+        row = {"cell": kind, "count": c}
+        for name, (mean, lo, hi) in summaries.items():
+            row.update({f"{name}_mean": mean, f"{name}_lo": lo, f"{name}_hi": hi})
         rows.append(row)
     return rows
 

@@ -1,7 +1,9 @@
-"""Small shared helpers: thread caps and atomic text output."""
+"""Small shared helpers: thread caps, value formatting and atomic text
+output."""
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -33,3 +35,21 @@ def write_text_atomic(path: str, payload: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def fmt_value(value) -> str:
+    """Text form of an output value: floats at 17 significant digits with
+    inf/-inf/nan spelled out, booleans as true/false, None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if value != value:
+            return "nan"
+        if value == math.inf:
+            return "inf"
+        if value == -math.inf:
+            return "-inf"
+        return format(value, ".17g")
+    return str(value)

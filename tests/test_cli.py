@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from prior_forge.cli import main
-from prior_forge.density import read_density
+from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
+                                 gamma_density, normal_density, read_density)
 
 
 def run(capsys, *argv):
@@ -271,3 +272,53 @@ def test_pool_grid_file_component(tmp_path, capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert payload["normalized"] is True
+
+
+def test_half_open_flat_support_rejected(tmp_path, capsys):
+    # (-inf, 0] has no default grid; it must not widen to the real line
+    spec = write_pool_spec(tmp_path, [{"family": "flat", "hi": 0},
+                                      {"family": "flat", "hi": 0}])
+    code, stdout, err = run(capsys, "pool", "--spec", spec)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and "[-inf, 0.0]" in err
+    code, _, err = run(capsys, "holder", "--mu", "flat:hi=0", "--nu", "normal",
+                       "--alpha", "0.5", "--likelihood", "normal", "--data", "0")
+    assert code == 1
+    assert "[-inf, 0.0]" in err and "share one support" not in err
+
+
+@pytest.mark.parametrize("mu, word", [
+    ("normal:mean=0,sdd=5", "sdd"),       # unknown key, once silently dropped
+    ("beta:a=1", "'b'"),                  # missing key
+    ("gamma:shape=two", "shape"),         # non-numeric value
+])
+def test_bad_spec_keys_exit_one(capsys, mu, word):
+    code, stdout, err = run(capsys, "holder", "--mu", mu, "--nu", "normal",
+                            "--alpha", "0.5", "--likelihood", "normal",
+                            "--data", "0")
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and word in err
+
+
+def test_non_numeric_json_spec_value_exits_one(tmp_path, capsys):
+    spec = write_pool_spec(tmp_path, [{"family": "beta", "a": None, "b": 1},
+                                      {"family": "beta", "a": 1, "b": [2]}])
+    code, _, err = run(capsys, "pool", "--spec", spec)
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec, build", [
+    ("beta:a=0.5,b=0.5", lambda: beta_density(0.5, 0.5)),
+    ("gamma:shape=2", lambda: gamma_density(2.0)),
+    ("normal:mean=0,sd=1", lambda: normal_density(0.0, 1.0)),
+    ("flat:lo=0,hi=1", lambda: flat_density(0.0, 1.0)),
+    ("exp-tilt:b=1", lambda: exp_tilt_density(1.0)),
+])
+def test_cli_components_match_library_constructors(spec, build):
+    # both read one family table, so the tabulations agree bit for bit
+    from prior_forge.cli import _build_components
+
+    got, want = _build_components([spec])[0], build()
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.log_values, want.log_values)
+    assert got.normalized == want.normalized

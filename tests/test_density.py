@@ -181,3 +181,10 @@ def test_constructor_parameter_validation():
         halfline_density(lambda x: x, scale=-1.0)
     with pytest.raises(InputError):
         realline_density(lambda x: x, scale=0.0)
+
+
+def test_improper_flat_rejects_half_open_lower_support():
+    with pytest.raises(InputError, match=r"\[-inf, 0"):
+        improper_flat(-math.inf, 0.0)
+    with pytest.raises(InputError, match="lo < hi"):
+        improper_flat(1.0, 0.0)

@@ -168,3 +168,16 @@ def test_pooled_bound_is_weighted_geometric_mean_of_masses():
     i_b = posterior_mass(b, lik).mass.value
     assert rep.bound == pytest.approx(i_a**0.4 * i_b**0.6, rel=1e-10)
     assert rep.pooled_mass.value <= rep.bound + rep.bound_error
+
+
+def test_two_cell_multinomial_is_the_binomial_kernel():
+    from prior_forge.likelihoods import multinomial_counts
+
+    x = np.linspace(0.01, 0.99, 50)
+    two_cell = multinomial_counts([3, 4])
+    assert two_cell.contains(0.0, 1.0)
+    assert np.array_equal(two_cell.log_on(x), binomial_counts(3, 7).log_on(x))
+    with pytest.raises(InputError):
+        multinomial_counts([1, 2, 3])
+    with pytest.raises(InputError):
+        multinomial_counts([0, 0])

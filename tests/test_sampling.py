@@ -64,3 +64,10 @@ def test_sampling_validation():
         sample_dirichlet((1.0,), 10, s)
     with pytest.raises(InputError):
         sample_dirichlet((1.0, -1.0), 10, s)
+
+
+def test_dirichlet_and_gamma_normalization_share_draws():
+    from prior_forge.reparam import gamma_normalize_sample
+
+    w = gamma_normalize_sample(0.5, 1.0, 4, 500, RandomStream(5, 0))
+    assert np.array_equal(w, sample_dirichlet((0.5,) * 4, 500, RandomStream(5, 0)))

@@ -11,7 +11,7 @@ from prior_forge.sparse_multinomial import (CountVector, HyperPriorSpec,
                                             compare_priors, dm_log_marginal,
                                             jeffreys_posterior,
                                             large_m_stability, v_posterior,
-                                            v_summary_table)
+                                            v_summary_row, v_summary_table)
 
 
 def test_count_vector_accessors():
@@ -171,6 +171,15 @@ def test_v_summary_table_rows():
         assert r["proper"]
         assert r["hyperprior"] == "pareto-v"
         assert r["q05_v"] < r["median_v"] < r["q95_v"]
+
+
+def test_v_summary_row_is_the_table_row():
+    hyper = HyperPriorSpec("pareto-v")
+    row = v_summary_row(canonical_counts(1000, 3, 2), hyper)
+    assert v_summary_table([(1000, 3, 2)], hyper) == [row]
+    improper = v_summary_row(CountVector((2, 1, 0, 0)), HyperPriorSpec("flat-in-a"))
+    assert (improper["m"], improper["n"], improper["r0"]) == (4, 3, 2)
+    assert improper["proper"] is False and improper["median_v"] is None
 
 
 def test_compare_priors_exact_conjugate_columns():
