@@ -134,6 +134,9 @@ def _build_components(specs: list) -> list:
         if isinstance(spec, str):
             family, params = _parse_kv_spec(spec)
             label = spec
+        elif not isinstance(spec, dict):
+            raise InputError(f"component {i} must be a spec string or a JSON "
+                             f"object, got {spec!r}")
         else:
             family = spec.get("family")
             params = {k: v for k, v in spec.items() if k != "family"}
@@ -243,11 +246,16 @@ def _counts_from_args(args) -> CountVector:
 def _cmd_pool(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
-    if "components" not in spec or not spec["components"]:
+    if not isinstance(spec, dict) or not isinstance(spec.get("components"), list) \
+            or not spec["components"]:
         raise InputError("pool spec must list at least one component")
     components = _build_components(spec["components"])
     if "weights" in spec:
-        weights = PoolWeights(np.asarray(spec["weights"], dtype=float))
+        try:
+            alphas = np.asarray(spec["weights"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"pool weights must be a list of numbers ({exc})") from None
+        weights = PoolWeights(alphas)
     else:
         weights = equal_weights(len(components))
     problem = PoolProblem(tuple(components), weights)
@@ -310,12 +318,24 @@ def _cmd_holder(args) -> int:
     return 0
 
 
+def _read_configs(path: str) -> list:
+    """(m, n, r0) triples from a JSON list of {"m", "n", "r0"} objects."""
+    with open(path) as fh:
+        configs = json.load(fh)
+    if not isinstance(configs, list):
+        raise InputError(f"{path}: configs must be a JSON list")
+    try:
+        return [(int(c["m"]), int(c["n"]), int(c["r0"])) for c in configs]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: every config needs integer m, n and r0 "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
 def _cmd_sparse_mn(args) -> int:
     hyper = _hyper_from_args(args)
     if args.configs:
-        with open(args.configs) as fh:
-            configs = [(c["m"], c["n"], c["r0"]) for c in json.load(fh)]
-        rows = v_summary_table(configs, hyper, tolerance=args.tol)
+        rows = v_summary_table(_read_configs(args.configs), hyper,
+                               tolerance=args.tol)
     elif args.counts:
         rows = [v_summary_row(_counts_from_args(args), hyper, args.tol)]
     else:

@@ -7,8 +7,9 @@ so that tail mass can be integrated and tail divergence detected from the
 node pattern near the mapped endpoints. Bounded supports use the identity
 map.
 
-Densities are immutable; transforms return new instances sharing the grid.
-The `normalized` flag certifies unit mass under this package's quadrature
+Densities are immutable; transforms return new instances sharing the grid
+and its quadrature rule slot (see quadrature.QuadratureRule). The
+`normalized` flag certifies unit mass under this package's quadrature
 (see quadrature.normalize).
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +30,25 @@ MIN_NODES = 16
 # relative offset used when default grids avoid declared endpoint
 # singularities on bounded intervals
 EDGE_OFFSET = 1e-10
+
+
+class _RuleSlot:
+    """The quadrature rule of one node set, built on first use.
+
+    A slot is made with the first density on a new node set and shared by
+    every density derived from it, so the rule is built once per grid.
+    """
+
+    __slots__ = ("t_nodes", "t_lo", "t_hi", "rule")
+
+    def __init__(self, t_nodes, t_lo, t_hi):
+        self.t_nodes, self.t_lo, self.t_hi = t_nodes, t_lo, t_hi
+        self.rule = None
+
+    def fits(self, t_nodes, t_lo, t_hi) -> bool:
+        return (t_lo == self.t_lo and t_hi == self.t_hi
+                and (t_nodes is self.t_nodes
+                     or np.array_equal(t_nodes, self.t_nodes)))
 
 
 @dataclass(frozen=True)
@@ -44,6 +64,9 @@ class GridDensity:
     t_nodes / t_lo / t_hi / log_jacobian: the compactified integration
         variable, its endpoint values, and log dx/dt at the nodes.
     note: free-form annotation (e.g. impropriety warnings from pooling).
+
+    The quadrature rule slot is carried along by with_log_values and
+    dataclasses.replace; a slot made for other nodes is rejected.
     """
 
     domain_lo: float
@@ -56,6 +79,7 @@ class GridDensity:
     t_hi: float = math.nan
     log_jacobian: np.ndarray = None
     note: str = ""
+    _rule_slot: _RuleSlot = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -98,6 +122,11 @@ class GridDensity:
             object.__setattr__(self, "log_jacobian", logjac)
         for arr in (self.nodes, self.log_values, self.t_nodes, self.log_jacobian):
             arr.setflags(write=False)
+        if self._rule_slot is None:
+            object.__setattr__(self, "_rule_slot",
+                               _RuleSlot(self.t_nodes, self.t_lo, self.t_hi))
+        elif not self._rule_slot.fits(self.t_nodes, self.t_lo, self.t_hi):
+            raise InputError("quadrature rule slot belongs to other nodes")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -133,7 +162,7 @@ def _derive_map(nodes, lo, hi):
     a scaled arctangent.
     """
     if math.isfinite(lo) and math.isfinite(hi):
-        return nodes.copy(), lo, hi, np.zeros_like(nodes)
+        return nodes, lo, hi, np.zeros_like(nodes)
     if math.isfinite(lo) and hi == math.inf:
         s, logjac = _halfline_map(nodes - lo, float(np.median(nodes - lo)))
         return s, 0.0, 1.0, logjac

@@ -18,7 +18,8 @@ import numpy as np
 
 from .density import GridDensity
 from .errors import InputError, NumericalError
-from .quadrature import integrate, normalize, signed_integral_table
+from .quadrature import (_normalized_by, integrate, normalize,
+                         signed_integral_table)
 from .streams import RandomStream
 from .util import thread_cap
 
@@ -116,7 +117,7 @@ def geometric_pool(problem: PoolProblem, tolerance: float = 1e-8) -> GridDensity
         return pooled.with_log_values(
             lv, note="improper pool: " + (res.detail or "integral diverges")
         )
-    return normalize(pooled, tolerance)
+    return _normalized_by(pooled, res)
 
 
 def arithmetic_pool(problem: PoolProblem) -> GridDensity:
@@ -175,8 +176,7 @@ def kl_objective(eta: GridDensity, problem: PoolProblem) -> float:
     with np.errstate(invalid="ignore"):
         w = np.where(active,
                      np.exp(le + eta.log_jacobian) * (le - (lp - level)), 0.0)
-    value, _ = signed_integral_table(eta.t_nodes, w, eta.t_lo, eta.t_hi)
-    return float(value) - level
+    return signed_integral_table(eta, w) - level
 
 
 @dataclass(frozen=True)

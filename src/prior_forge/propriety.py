@@ -41,20 +41,28 @@ class ProprietyVerdict:
     diagnostics: str
 
 
-def _posterior_density(prior: GridDensity, likelihood: LikelihoodModel) -> GridDensity:
-    if not likelihood.contains(prior.domain_lo, prior.domain_hi):
+def _log_likelihood_on(grid: GridDensity, likelihood: LikelihoodModel) -> np.ndarray:
+    """The likelihood's log kernel at the grid's nodes."""
+    if not likelihood.contains(grid.domain_lo, grid.domain_hi):
         raise InputError(
             "prior support is not contained in the likelihood's parameter "
             f"domain [{likelihood.domain_lo}, {likelihood.domain_hi}]"
         )
-    log_like = likelihood.log_on(prior.nodes)
+    return likelihood.log_on(grid.nodes)
+
+
+def _posterior_density(prior: GridDensity, log_like: np.ndarray) -> GridDensity:
     return prior.with_log_values(prior.log_values + log_like)
 
 
 def posterior_mass(prior: GridDensity, likelihood: LikelihoodModel,
                    tolerance: float = DEFAULT_TOL) -> ProprietyVerdict:
     """Integrate prior times likelihood kernel and classify the result."""
-    post = _posterior_density(prior, likelihood)
+    post = _posterior_density(prior, _log_likelihood_on(prior, likelihood))
+    return _mass_verdict(post, tolerance)
+
+
+def _mass_verdict(post: GridDensity, tolerance: float) -> ProprietyVerdict:
     res = integrate(post, tolerance)
     if res.diverged:
         return ProprietyVerdict(res, False,
@@ -70,11 +78,12 @@ def posterior_mass(prior: GridDensity, likelihood: LikelihoodModel,
     return ProprietyVerdict(res, True, "finite positive posterior mass")
 
 
-def _require_proper(prior: GridDensity, likelihood: LikelihoodModel,
+def _require_proper(prior: GridDensity, log_like: np.ndarray,
                     tolerance: float, failure: str) -> ProprietyVerdict:
-    """posterior_mass of a prior that a check needs proper; raises
-    InputError with `failure` and the diagnostics otherwise."""
-    verdict = posterior_mass(prior, likelihood, tolerance)
+    """Mass verdict of a posterior that a check needs proper, given the
+    log likelihood at the prior's nodes; raises InputError with `failure`
+    and the diagnostics otherwise."""
+    verdict = _mass_verdict(_posterior_density(prior, log_like), tolerance)
     if not verdict.proper:
         raise InputError(f"{failure} ({verdict.diagnostics})")
     return verdict
@@ -125,11 +134,12 @@ def holder_check(mu: GridDensity, nu: GridDensity, alpha: float,
         raise InputError("alpha must lie in [0, 1]")
     if not mu.same_grid(nu):
         raise InputError("mu and nu must share a grid")
+    log_like = _log_likelihood_on(mu, likelihood)
     failed = "holder_check precondition failed: posterior under {} is not proper"
-    mu_verdict = _require_proper(mu, likelihood, tolerance, failed.format("mu"))
-    nu_verdict = _require_proper(nu, likelihood, tolerance, failed.format("nu"))
+    mu_verdict = _require_proper(mu, log_like, tolerance, failed.format("mu"))
+    nu_verdict = _require_proper(nu, log_like, tolerance, failed.format("nu"))
 
-    blend = likelihood.log_on(mu.nodes)
+    blend = log_like
     if alpha > 0.0:
         blend = blend + alpha * mu.log_values
     if alpha < 1.0:
@@ -186,9 +196,10 @@ def pooled_propriety(problem: PoolProblem, likelihood: LikelihoodModel,
     kernel is used unnormalized (the bound is stated for raw components).
     """
     al = problem.weights.alphas
+    log_like = _log_likelihood_on(problem.grid, likelihood)
     verdicts = [
         None if a == 0.0 else _require_proper(
-            comp, likelihood, tolerance, "pooled_propriety precondition "
+            comp, log_like, tolerance, "pooled_propriety precondition "
             f"failed: component {i} has an improper posterior")
         for i, (a, comp) in enumerate(zip(al, problem.components))
     ]
@@ -196,7 +207,7 @@ def pooled_propriety(problem: PoolProblem, likelihood: LikelihoodModel,
                                    if v is not None)
 
     pooled_kernel = problem.grid.with_log_values(_weighted_log_sum(problem))
-    res = integrate(_posterior_density(pooled_kernel, likelihood), tolerance)
+    res = integrate(_posterior_density(pooled_kernel, log_like), tolerance)
     if res.diverged:
         raise NumericalError(
             "pooled posterior classified divergent although every component "

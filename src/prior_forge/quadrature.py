@@ -1,11 +1,11 @@
 """Composite quadrature over grid densities, with endpoint tail handling.
 
 The integrator works in the density's compactified variable t. Interior
-cells use piecewise cubic interpolation (batched 4-point stencils). Near
-each declared endpoint it switches to a local power-law treatment: the
+cells use piecewise cubic interpolation (4-point stencils). Near each
+declared endpoint it switches to a local power-law treatment: the
 leading exponent p of the integrand is fitted from the innermost nodes,
-the cap is integrated under the substitution tau = (d/d_max)^(p+1) which
-linearizes the leading behavior, and the remaining sliver between the grid
+the fitted power law is integrated in closed form and the cubic rule
+only sees the remainder, and the remaining sliver between the grid
 offset and the true endpoint is extrapolated. Integrable singularities
 (p > -1) converge; exponents at or below -0.999, or truncated partial
 integrals that keep growing as the window doubles toward an endpoint, are
@@ -16,6 +16,18 @@ pass (fourth-order rule: |I - I_half| / 8, region-aligned so the two
 passes share cap boundaries) with explicit extension-sensitivity terms.
 `converged` means the estimate is within the requested tolerance relative
 to the integral's magnitude.
+
+Everything above that depends on the grid alone is a QuadratureRule: the
+cap extents, each cap's distances from its endpoint, the truncation-ladder
+windows, and the weights of every pass. The cubic weights come in closed
+form per cell and are summed to node weights, so each pass is one
+weighted sum of integrand values. A rule is
+built from (t_nodes, t_lo, t_hi) on the first integrate over a node set
+and stored in the rule slot of the density; with_log_values and
+dataclasses.replace pass the slot on, so every posterior, blend, pool and
+perturbation derived from one grid reuses its rule. A density built from
+new nodes gets a new, empty slot, even when the nodes equal those of
+another grid.
 """
 
 from __future__ import annotations
@@ -54,27 +66,71 @@ class QuadratureResult:
     detail: str = ""
 
 
-def _cubic_cells(t, g):
-    """Per-cell integrals of a piecewise cubic through consecutive nodes.
+def _cell_weights(x):
+    """Weights of the piecewise cubic rule on nodes x, shape (4, ncell).
 
-    Cell i integrates the cubic through nodes (i-1 .. i+2), clamped at the
-    array ends; falls back to trapezoid when fewer than 4 nodes exist.
-    Stencils are solved in cell-scaled coordinates for conditioning.
+    Cell i integrates the cubic through nodes s_i .. s_i + 3 with
+    s_i = clip(i - 1, 0, len(x) - 4), so the stencil is clamped at the
+    array ends; row j weights node s_i + j. In cell-scaled coordinates
+    z = (x - x_i) / h_i, the weight of a stencil node z_j is the integral
+    over [0, 1] of its Lagrange basis polynomial,
+    (1/4 - e1/3 + e2/2 - e3) / prod_k (z_j - z_k), with e1, e2, e3 the
+    elementary symmetric sums of the other three nodes. Fewer than 4
+    nodes give trapezoid weights, shape (2, ncell), with s_i = i.
     """
-    n = len(t)
-    if n < 4:
-        return 0.5 * (g[1:] + g[:-1]) * np.diff(t)
-    ncell = n - 1
-    s = np.clip(np.arange(ncell) - 1, 0, n - 4)
-    idx = s[:, None] + np.arange(4)[None, :]
-    a = t[:-1]
-    h = np.diff(t)
-    xl = (t[idx] - a[:, None]) / h[:, None]
-    p = np.arange(4)
-    vander = xl[:, None, :] ** p[None, :, None]
-    rhs = np.broadcast_to((1.0 / (p + 1))[:, None], (ncell, 4, 1)).copy()
-    w = np.linalg.solve(vander, rhs)[..., 0] * h[:, None]
-    return np.sum(w * g[idx], axis=1)
+    h = np.diff(x)
+    if len(x) < 4:
+        return np.stack([0.5 * h, 0.5 * h])
+    s = _stencil_starts(len(h), 4)
+    z = [(x[s + j] - x[:-1]) / h for j in range(4)]
+    w = np.empty((4, len(h)))
+    for j in range(4):
+        a, b, c = (z[k] for k in range(4) if k != j)
+        e1 = a + b + c
+        e2 = a * b + a * c + b * c
+        e3 = a * b * c
+        w[j] = (0.25 - e1 / 3.0 + e2 / 2.0 - e3) \
+            / ((z[j] - a) * (z[j] - b) * (z[j] - c)) * h
+    return w
+
+
+def _stencil_starts(ncell, width):
+    """First stencil node of each cell: i - 1 clamped to [0, ncell - 3] for
+    the cubic rule, i for the trapezoid rule."""
+    if width == 2:
+        return np.arange(ncell)
+    s = np.arange(-1, ncell - 1)
+    s[0], s[-1] = 0, ncell - 3
+    return s
+
+
+def _window_weights(w, bounds):
+    """Node weights of the cell windows [bounds[k], bounds[k+1]).
+
+    w holds cell weights from _cell_weights. Returns (nodes, weights,
+    starts): window k integrates values g to
+    sum(weights[starts[k]:starts[k+1]] * g[nodes[starts[k]:starts[k+1]]]),
+    its nodes being the consecutive run its cells' stencils touch.
+    """
+    width, ncell = w.shape
+    bounds = np.asarray(bounds)
+    lo, hi = bounds[0], bounds[-1]
+    s = _stencil_starts(ncell, width)
+    first = s[bounds[:-1]]
+    size = s[bounds[1:] - 1] + width - first
+    starts = np.concatenate([[0], np.cumsum(size)[:-1]])
+    # position of each (stencil slot, cell) pair in the flattened windows
+    shift = np.repeat(starts - first, np.diff(bounds))
+    pos = (s[lo:hi] + shift) + np.arange(width)[:, None]
+    total = int(size.sum())
+    weights = np.bincount(pos.ravel(), weights=w[:, lo:hi].ravel(), minlength=total)
+    nodes = np.repeat(first - starts, size) + np.arange(total)
+    return nodes, weights, starts
+
+
+def _node_weights(x):
+    """Node weights of the cubic rule over every cell of nodes x."""
+    return _window_weights(_cell_weights(x), [0, len(x) - 1])[1]
 
 
 def _decimate_idx(m):
@@ -85,37 +141,147 @@ def _decimate_idx(m):
     return idx
 
 
-def _cap_extent(t, t_lo, t_hi, side, wide_ratio=0.1, frac=0.05, max_cells=None):
+def _cap_extent(d, span, max_cells, wide_ratio=0.1, frac=0.05):
     """Number of cells near an endpoint that need power-law treatment.
 
-    A cell belongs to the cap while it is wide relative to its distance
-    from the endpoint (geometric refinement zone) or simply close to the
-    endpoint. Caps are limited so the bulk keeps enough nodes.
+    d holds the node distances from the endpoint, increasing away from
+    it. A cell belongs to the cap while it is wide relative to its
+    distance from the endpoint (geometric refinement zone) or simply
+    close to the endpoint; the cap is the leading run of such cells, at
+    most max_cells long, so the bulk keeps enough nodes.
     """
-    n = len(t)
-    if max_cells is None:
-        max_cells = max((n - 1 - 8) // 2, 0)
-    span = t_hi - t_lo
-    m = 0
-    if side == "lower":
-        if t[0] - t_lo <= 0:
-            return 0
-        d = t - t_lo
-        while m < max_cells and (d[m + 1] - d[m] > wide_ratio * d[m]
-                                 or d[m + 1] < frac * span):
-            m += 1
-    else:
-        if t_hi - t[-1] <= 0:
-            return 0
-        d = t_hi - t
-        while m < max_cells and (d[n - 2 - m] - d[n - 1 - m] > wide_ratio * d[n - 1 - m]
-                                 or d[n - 2 - m] < frac * span):
-            m += 1
-    return m
+    if d[0] <= 0:
+        return 0
+    lead = d[:max_cells + 1]
+    in_cap = (np.diff(lead) > wide_ratio * lead[:-1]) | (lead[1:] < frac * span)
+    return int(np.argmin(in_cap)) if not in_cap.all() else len(in_cap)
 
 
-def _cap_integral(d, logg, tol, scale):
-    """Integral over [0, d[-1]] from samples at distances d from an endpoint.
+@dataclass(frozen=True)
+class _Cap:
+    """The nodes of one endpoint cap and the node weights of both its
+    passes.
+
+    d: node distances from the endpoint, increasing, d[0] > 0.
+    half: indices of the half-resolution pass into d.
+    """
+
+    d: np.ndarray
+    log_d: np.ndarray
+    w: np.ndarray
+    half: np.ndarray
+    w_half: np.ndarray
+
+    @classmethod
+    def build(cls, d):
+        d = np.array(d)  # not a view that would keep the whole grid alive
+        half = _decimate_idx(len(d))
+        return cls(d, np.log(d), _node_weights(d), half, _node_weights(d[half]))
+
+    def passes(self, g):
+        """Full and half-resolution integrals of values g at the cap nodes."""
+        return (float(np.sum(self.w * g)),
+                float(np.sum(self.w_half * g[self.half])))
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """Doubling windows of the truncation ladder at one offset endpoint,
+    as consecutive cell windows of the full pass in increasing cell order
+    (see _window_weights)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def build(cls, w, bounds):
+        return cls(*_window_weights(w, bounds)) if len(bounds) > 1 else None
+
+    def masses(self, g):
+        return np.add.reduceat(self.weights * g[self.nodes], self.starts)
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Everything integrate needs that depends on the grid alone.
+
+    Built once per node set from (t_nodes, t_lo, t_hi) and kept in the
+    rule slot every density on that node set shares.
+
+    w_all: node weights of the full pass over every cell.
+    bulk_first / w_bulk: first node and node weights of the full pass
+        over the bulk cells between the endpoint caps.
+    bulk_half / w_bulk_half: nodes and node weights of the
+        half-resolution pass over the bulk.
+    lower / upper: the endpoint caps (None when empty).
+    ladder_lo / ladder_hi: the truncation ladder's windows at each offset
+        endpoint (None when there are none).
+    """
+
+    w_all: np.ndarray
+    bulk_first: int
+    w_bulk: np.ndarray
+    bulk_half: np.ndarray
+    w_bulk_half: np.ndarray
+    lower: _Cap
+    upper: _Cap
+    ladder_lo: _Ladder
+    ladder_hi: _Ladder
+
+    @classmethod
+    def build(cls, t, t_lo, t_hi):
+        n = len(t)
+        ncell = n - 1
+        d_lo = t - t_lo
+        d_hi = (t_hi - t)[::-1]
+        max_cells = max((ncell - 8) // 2, 0)
+        m_lo = _cap_extent(d_lo, t_hi - t_lo, max_cells)
+        m_hi = _cap_extent(d_hi, t_hi - t_lo, max_cells)
+        while (ncell - m_lo - m_hi) < 8 and (m_lo > 0 or m_hi > 0):
+            if m_lo >= m_hi:
+                m_lo -= 1
+            else:
+                m_hi -= 1
+        w = _cell_weights(t)
+        bulk_nodes, w_bulk, _ = _window_weights(w, [m_lo, ncell - m_hi])
+        bulk_half = m_lo + _decimate_idx(n - m_hi - m_lo)
+        return cls(
+            w_all=_window_weights(w, [0, ncell])[1],
+            bulk_first=int(bulk_nodes[0]),
+            w_bulk=w_bulk,
+            bulk_half=bulk_half,
+            w_bulk_half=_node_weights(t[bulk_half]),
+            lower=_Cap.build(d_lo[: m_lo + 1]) if m_lo > 0 else None,
+            upper=_Cap.build(d_hi[: m_hi + 1]) if m_hi > 0 else None,
+            ladder_lo=_Ladder.build(w, _ladder_bounds(d_lo, d_lo[-1] / 8)),
+            ladder_hi=_Ladder.build(w, n - _ladder_bounds(d_hi, d_hi[-1] / 8)[::-1]),
+        )
+
+
+def _ladder_bounds(d, reach):
+    """Window bounds of the truncation ladder: for each k >= 1 with
+    d[0] * 2**k < reach, the first node at least that far from the
+    endpoint, without repeats (d: node distances from it, increasing)."""
+    if d[0] <= 0:
+        return np.zeros(0, dtype=int)
+    targets = d[0] * 2.0 ** np.arange(1, 60)
+    return np.unique(np.searchsorted(d, targets[targets < reach]))
+
+
+def _rule(density: GridDensity) -> QuadratureRule:
+    """The density's quadrature rule, built into its shared slot on first
+    use. Two threads may both build it; the rules are equal, so either
+    may stay."""
+    slot = density._rule_slot
+    if slot.rule is None:
+        slot.rule = QuadratureRule.build(slot.t_nodes, slot.t_lo, slot.t_hi)
+    return slot.rule
+
+
+def _cap_integral(cap, logg, tol, scale):
+    """Integral over [0, d[-1]] from samples at the cap's distances d from
+    an endpoint.
 
     d is increasing with d[0] > 0 (the grid offset); logg holds max-shifted
     log integrand values. Returns (value, err, diverged, detail). The
@@ -128,18 +294,16 @@ def _cap_integral(d, logg, tol, scale):
     an extra power of d, so the geometric cells resolve it to near
     machine level.
     """
+    d, lend = cap.d, cap.log_d
     g = np.where(np.isfinite(logg), np.exp(logg), 0.0)
 
     def plain():
-        v = float(np.sum(_cubic_cells(d, g)))
-        di = _decimate_idx(len(d))
-        v2 = float(np.sum(_cubic_cells(d[di], g[di])))
+        v, v2 = cap.passes(g)
         return v, abs(v - v2) / 8.0
 
     if not np.isfinite(logg[0]) or not np.isfinite(logg[1]):
         v, e = plain()
         return v + g[0] * d[0], e + g[0] * d[0], False, ""
-    lend = np.log(d)
     p = (logg[1] - logg[0]) / (lend[1] - lend[0])
     if p <= -0.999:
         proj = g[0] * d[0] * 50.0
@@ -166,9 +330,7 @@ def _cap_integral(d, logg, tol, scale):
         )
     model_total = math.exp(logg[0] + (p + 1.0) * (lend[-1] - lend[0])) \
         * d[0] / (p + 1.0)
-    rem = float(np.sum(_cubic_cells(d, r)))
-    di = _decimate_idx(len(d))
-    rem2 = float(np.sum(_cubic_cells(d[di], r[di])))
+    rem, rem2 = cap.passes(r)
     v = model_total + rem
     err = abs(rem - rem2) / 8.0
     # remainder mass in the sliver [0, d0]: the remainder vanishes at the
@@ -187,7 +349,7 @@ def _cap_integral(d, logg, tol, scale):
     return v, err, False, ""
 
 
-def _integrate_table(t, logg, t_lo, t_hi, tol):
+def _integrate_table(rule, logg, tol):
     """Core integration routine on the compactified variable."""
     finite = np.isfinite(logg)
     if not finite.any():
@@ -197,69 +359,38 @@ def _integrate_table(t, logg, t_lo, t_hi, tol):
     lg = np.where(finite, logg - M, -np.inf)
     g = np.where(finite, np.exp(lg), 0.0)
 
-    n = len(t)
-    ncell = n - 1
-    m_lo = _cap_extent(t, t_lo, t_hi, "lower")
-    m_hi = _cap_extent(t, t_lo, t_hi, "upper")
-    while (ncell - m_lo - m_hi) < 8 and (m_lo > 0 or m_hi > 0):
-        if m_lo >= m_hi:
-            m_lo -= 1
-        else:
-            m_hi -= 1
-
     # bulk first: its magnitude anchors the divergence significance scale
-    cells = _cubic_cells(t, g)
-    bulk = float(np.sum(cells[m_lo: ncell - m_hi]))
-    tb = t[m_lo: n - m_hi]
-    gb = g[m_lo: n - m_hi]
-    di = _decimate_idx(len(tb))
-    bulk2 = float(np.sum(_cubic_cells(tb[di], gb[di])))
+    g_bulk = g[rule.bulk_first: rule.bulk_first + len(rule.w_bulk)]
+    bulk = float(np.sum(rule.w_bulk * g_bulk))
+    bulk2 = float(np.sum(rule.w_bulk_half * g[rule.bulk_half]))
     err = abs(bulk - bulk2) / 8.0
     scale = max(abs(bulk), 1e-300)
 
     val = bulk
     diverged = False
     detail = ""
-    if m_lo > 0:
-        v, e, dv, de = _cap_integral(t[: m_lo + 1] - t_lo, lg[: m_lo + 1], tol, scale)
+    for side, cap, lg_out in (("lower", rule.lower, lg), ("upper", rule.upper, lg[::-1])):
+        if cap is None:
+            continue
+        v, e, dv, de = _cap_integral(cap, lg_out[: len(cap.d)], tol, scale)
         if dv:
-            diverged, detail = True, "lower " + de
-        else:
-            val += v
-            err += e
-    if m_hi > 0 and not diverged:
-        v, e, dv, de = _cap_integral((t_hi - t[ncell - m_hi:])[::-1],
-                                     lg[ncell - m_hi:][::-1], tol, scale)
-        if dv:
-            diverged, detail = True, "upper " + de
-        else:
-            val += v
-            err += e
+            diverged, detail = True, f"{side} {de}"
+            break
+        val += v
+        err += e
 
     if not diverged:
-        # truncation ladder: partial integrals over doubling windows
-        # anchored at each offset endpoint; toward-endpoint increments that
-        # stay significant and shrink no faster than ratio 0.9995 (the rate
-        # the -0.999 exponent cutoff allows) mean non-integrable mass
-        csum = np.concatenate([[0.0], np.cumsum(cells)])
-        for side in ("lower", "upper"):
-            off = (t[0] - t_lo) if side == "lower" else (t_hi - t[-1])
-            if off <= 0:
+        # truncation ladder: the masses of doubling windows anchored at
+        # each offset endpoint, ordered toward it; increments that stay
+        # significant and shrink no faster than ratio 0.9995 (the rate the
+        # -0.999 exponent cutoff allows) mean non-integrable mass. The
+        # upper increments are negated masses, so for a nonnegative
+        # integrand only the cap's exponent fit can flag that side.
+        for side, ladder in (("lower", rule.ladder_lo), ("upper", rule.ladder_hi)):
+            if ladder is None:
                 continue
-            targets = off * 2.0 ** np.arange(1, 60)
-            if side == "lower":
-                d = t - t_lo
-                targets = targets[targets < (t[-1] - t_lo) / 8]
-                ii = np.unique(np.searchsorted(d, targets))
-                vals = csum[-1] - csum[ii]
-                inc = (vals[:-1] - vals[1:])[::-1]
-            else:
-                dd = (t_hi - t)[::-1]
-                targets = targets[targets < (t_hi - t[0]) / 8]
-                jj = np.unique(np.searchsorted(dd, targets))
-                ii = len(t) - 1 - jj
-                vals = csum[ii + 1]
-                inc = (vals[1:] - vals[:-1])[::-1]
+            masses = ladder.masses(g)
+            inc = masses[::-1] if side == "lower" else -masses
             if len(inc) >= 4:
                 last = inc[-3:]
                 if np.all(last > 10.0 * tol * scale) and np.all(last[1:] >= 0.9995 * last[:-1]):
@@ -290,8 +421,7 @@ def integrate(density: GridDensity, tolerance: float = DEFAULT_TOL) -> Quadratur
     if not (0 < tolerance < 1):
         raise InputError("tolerance must be in (0, 1)")
     logg = density.log_values + density.log_jacobian
-    out = _integrate_table(density.t_nodes, logg, density.t_lo, density.t_hi,
-                           tolerance)
+    out = _integrate_table(_rule(density), logg, tolerance)
     return QuadratureResult(
         value=out["value"],
         abs_error_estimate=out["err"],
@@ -312,7 +442,11 @@ def normalize(density: GridDensity, tolerance: float = DEFAULT_TOL) -> GridDensi
     """
     if density.normalized:
         return density
-    res = integrate(density, tolerance)
+    return _normalized_by(density, integrate(density, tolerance))
+
+
+def _normalized_by(density: GridDensity, res: QuadratureResult) -> GridDensity:
+    """normalize() given the density's integral `res` already in hand."""
     if res.diverged:
         raise NumericalError(
             f"density is not normalizable: {res.detail or 'integral diverges'}"
@@ -412,23 +546,20 @@ def mode(density: GridDensity) -> float:
     return float(min(max(xstar, x0), x2))
 
 
-def signed_integral_table(t, values, t_lo, t_hi):
-    """Integral of a signed integrand tabulated on the compactified grid.
+def signed_integral_table(density: GridDensity, values) -> float:
+    """Integral of a signed integrand tabulated at a density's nodes.
 
-    Piecewise cubic over the cells plus rectangle extensions across the
-    endpoint offsets. Returns (value, error_estimate); the extensions are
-    charged to the error in full. Used for integrands that change sign,
-    where the log-space power-law machinery does not apply.
+    `values` is the integrand in the compactified variable. Piecewise
+    cubic over the cells, under the density's quadrature rule, plus
+    rectangle extensions across the endpoint offsets. Used for integrands
+    that change sign, where the log-space power-law machinery does not
+    apply; no error estimate is formed.
     """
-    t = np.asarray(t, dtype=float)
+    t = density.t_nodes
     values = np.asarray(values, dtype=float)
-    core = float(np.sum(_cubic_cells(t, values)))
-    di = _decimate_idx(len(t))
-    core2 = float(np.sum(_cubic_cells(t[di], values[di])))
     ext = 0.0
-    if t[0] > t_lo:
-        ext += values[0] * (t[0] - t_lo)
-    if t[-1] < t_hi:
-        ext += values[-1] * (t_hi - t[-1])
-    err = abs(core - core2) / 8.0 + abs(ext)
-    return core + ext, err
+    if t[0] > density.t_lo:
+        ext += values[0] * (t[0] - density.t_lo)
+    if t[-1] < density.t_hi:
+        ext += values[-1] * (density.t_hi - t[-1])
+    return float(np.sum(_rule(density).w_all * values)) + ext

@@ -22,8 +22,8 @@ from scipy.special import betainc, betaincinv, gammaln
 from . import density as dens
 from .density import GridDensity, log_interp, read_density
 from .errors import InputError, NumericalError
-from .quadrature import (DEFAULT_TOL, QuadratureResult, _trapezoid_masses,
-                         integrate, mode, normalize, quantile)
+from .quadrature import (DEFAULT_TOL, QuadratureResult, _normalized_by,
+                         _trapezoid_masses, integrate, mode, quantile)
 from .util import thread_cap
 
 V_GRID_LO = 1e-4
@@ -219,7 +219,7 @@ def v_posterior(data: CountVector, hyper: HyperPriorSpec,
             mass=res,
             proper=False,
         )
-    posterior = normalize(kernel, tolerance)
+    posterior = _normalized_by(kernel, res)
     summary = {
         "mode": mode(posterior),
         "median": quantile(posterior, 0.5),

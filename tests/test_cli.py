@@ -307,6 +307,22 @@ def test_non_numeric_json_spec_value_exits_one(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("pool", "--spec", '{"components": [5, 6]}'),
+    ("pool", "--spec", '{"components": 5}'),
+    ("pool", "--spec", '{"components": ["flat:lo=0,hi=1"], "weights": {"a": 1}}'),
+    ("sparse-mn", "--configs", '[{"m": 1000, "n": 3}]'),
+    ("sparse-mn", "--configs", '{"m": 1000, "n": 3, "r0": 1}'),
+    ("sparse-mn", "--configs", '[{"m": null, "n": 3, "r0": 1}]'),
+])
+def test_malformed_json_input_exits_one(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, stdout, err = run(capsys, command, flag, str(path))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("spec, build", [
     ("beta:a=0.5,b=0.5", lambda: beta_density(0.5, 0.5)),
     ("gamma:shape=2", lambda: gamma_density(2.0)),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prior_forge import pooling, quadrature
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
                                  improper_flat)
 from prior_forge.errors import InputError
@@ -51,6 +52,21 @@ def test_geometric_pool_closure_for_betas():
     assert g.normalized
     direct = normalize(a.with_log_values(0.3 * a.log_values + 0.7 * b.log_values))
     np.testing.assert_allclose(g.log_values, direct.log_values, atol=1e-10)
+
+
+def test_geometric_pool_integrates_the_kernel_once(monkeypatch):
+    calls = []
+
+    def counting(density, tolerance=1e-8):
+        calls.append(density)
+        return integrate(density, tolerance)
+
+    monkeypatch.setattr(pooling, "integrate", counting)
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    prob = PoolProblem((beta_density(0.5, 0.5), beta_density(1.5, 2.5)),
+                       PoolWeights((0.3, 0.7)))
+    pooled = geometric_pool(prob)
+    assert len(calls) == 1 and pooled.normalized
 
 
 def test_geometric_pool_improper_is_annotated():

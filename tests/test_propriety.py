@@ -6,8 +6,9 @@ import pytest
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
                                  gamma_density, improper_flat)
 from prior_forge.errors import InputError, NumericalError
-from prior_forge.likelihoods import (binomial_counts, normal_location,
-                                     poisson_counts, tabulated_likelihood)
+from prior_forge.likelihoods import (LikelihoodModel, binomial_counts,
+                                     normal_location, poisson_counts,
+                                     tabulated_likelihood)
 from prior_forge.pooling import PoolProblem, PoolWeights
 from prior_forge.propriety import holder_check, pooled_propriety, posterior_mass
 
@@ -98,6 +99,23 @@ def test_holder_symmetric_in_complementary_alpha():
     b = holder_check(nu, mu, 0.7, lik)
     assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
     assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
+
+
+def test_holder_check_evaluates_the_likelihood_once(monkeypatch):
+    mu, nu = beta_density(0.5, 0.5), beta_density(2.0, 1.0)
+    lik = binomial_counts(3, 10)
+    want = (posterior_mass(mu, lik).mass, posterior_mass(nu, lik).mass)
+    calls = []
+    log_on = LikelihoodModel.log_on
+
+    def counting(self, theta):
+        calls.append(theta)
+        return log_on(self, theta)
+
+    monkeypatch.setattr(LikelihoodModel, "log_on", counting)
+    rep = holder_check(mu, nu, 0.4, lik)
+    assert len(calls) == 1
+    assert (rep.mu_mass.mass, rep.nu_mass.mass) == want
 
 
 def test_holder_alpha_validation():

@@ -6,9 +6,12 @@ test.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import betaln, gammaln
 
@@ -16,8 +19,9 @@ from prior_forge import (InputError, NumericalError, beta_density,
                          bounded_density, flat_density, gamma_density,
                          improper_flat, integrate, log_beta, mode,
                          normal_density, normalize, quantile)
-from prior_forge.density import bounded_nodes, realline_density
-from prior_forge.quadrature import cdf_at
+from prior_forge.density import (GridDensity, bounded_nodes, halfline_density,
+                                 realline_density)
+from prior_forge.quadrature import QuadratureRule, _cell_weights, _rule, cdf_at
 
 
 def kernel_beta(a, b):
@@ -274,3 +278,100 @@ def test_mode_gamma_3_at_two():
 def test_mode_tie_breaks_toward_smallest_abscissa():
     d = flat_density(0.0, 1.0)
     assert mode(d) == d.nodes[0]
+
+
+# ---------------------------------------------------------------------------
+# the quadrature rule
+
+
+def vandermonde_cell_weights(x):
+    """Reference cubic cell weights: solve each cell's 4x4 moment system
+    sum_j w_j z_j^p = 1/(p+1), p = 0..3, in cell-scaled coordinates."""
+    n = len(x)
+    s = np.clip(np.arange(n - 1) - 1, 0, n - 4)
+    idx = s[:, None] + np.arange(4)[None, :]
+    h = np.diff(x)
+    z = (x[idx] - x[:-1, None]) / h[:, None]
+    p = np.arange(4)
+    vander = z[:, None, :] ** p[None, :, None]
+    rhs = np.broadcast_to((1.0 / (p + 1))[:, None], (n - 1, 4, 1)).copy()
+    return (np.linalg.solve(vander, rhs)[..., 0] * h[:, None]).T
+
+
+def _random_grid(rng):
+    # neighbouring spacings differ by up to a factor 10; much wider ratios
+    # make the reference solve itself lose digits
+    h = np.exp(rng.uniform(-1.15, 1.15, int(rng.integers(4, 300))))
+    return rng.normal() + np.concatenate([[0.0], np.cumsum(h)])
+
+
+def test_closed_form_cell_weights_match_vandermonde_solve():
+    rng = np.random.default_rng(20150427)
+    grids = [beta_density(2.0, 3.0).t_nodes, gamma_density(2.0).t_nodes,
+             normal_density().t_nodes] + [_random_grid(rng) for _ in range(40)]
+    for x in grids:
+        got, want = _cell_weights(x), vandermonde_cell_weights(x)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+
+
+def test_fresh_grid_with_equal_nodes_integrates_bit_identically():
+    first = kernel_beta(0.5, 2.5)
+    integrate(first)
+    shared = first.shifted(0.0)
+    fresh = kernel_beta(0.5, 2.5)
+    assert _rule(shared) is _rule(first)
+    assert fresh._rule_slot is not first._rule_slot
+    assert integrate(shared) == integrate(fresh)
+
+
+def test_with_log_values_reuses_the_rule(monkeypatch):
+    builds = []
+    real_build = QuadratureRule.build.__func__
+
+    def counting_build(cls, *args):
+        builds.append(args)
+        return real_build(cls, *args)
+
+    monkeypatch.setattr(QuadratureRule, "build", classmethod(counting_build))
+    d = gamma_density(3.0)
+    derived = d.with_log_values(2.0 * d.log_values)
+    integrate(derived)
+    integrate(d)
+    integrate(derived.shifted(1.0))
+    normalize(replace(d, normalized=False))
+    assert len(builds) == 1
+
+
+def test_grid_density_rejects_a_rule_for_other_nodes():
+    d = beta_density(2.0, 2.0)
+    integrate(d)
+    other = beta_density(2.0, 2.0, n=2049)
+    with pytest.raises(InputError):
+        replace(other, _rule_slot=d._rule_slot)
+    with pytest.raises(InputError):
+        GridDensity(0.0, 2.0, 2.0 * d.nodes, d.log_values, _rule_slot=d._rule_slot)
+    # equal nodes are accepted, wherever the array came from
+    twin = replace(beta_density(5.0, 1.0), _rule_slot=d._rule_slot)
+    assert _rule(twin) is _rule(d)
+
+
+def _kernel(family, p, q):
+    if family == "beta":
+        return bounded_density(
+            lambda x: (p - 1.0) * np.log(x) + (q - 1.0) * np.log1p(-x), 0.0, 1.0)
+    return halfline_density(lambda v: (p - 1.0) * np.log(v) - q * v)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(family=st.sampled_from(["beta", "gamma"]),
+       p=st.floats(-0.5, 20.0).filter(lambda p: abs(p) > 0.05),
+       q=st.floats(0.05, 20.0),
+       c=st.floats(-50.0, 50.0))
+def test_shift_moves_log_value_by_the_shift(family, p, q, c):
+    base = _kernel(family, p, q)
+    res, moved = integrate(base), integrate(base.shifted(c))
+    assert (moved.converged, moved.diverged) == (res.converged, res.diverged)
+    if not res.diverged:
+        assert abs(moved.log_value - (res.log_value + c)) <= \
+            1e-12 * max(1.0, abs(res.log_value + c))
