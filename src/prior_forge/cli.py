@@ -32,7 +32,7 @@ from .sparse_multinomial import (HYPER_KINDS, SUMMARY_COLUMNS, CountVector,
                                  compare_priors, v_summary_row,
                                  v_summary_table)
 from .streams import RandomStream
-from .util import fmt_value, thread_cap, write_text_atomic
+from .util import fmt_value, write_text_atomic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,7 +206,6 @@ def _effective_config(args, command, extras=None):
         "seed": args.seed,
         "tol": args.tol,
         "format": args.format,
-        "threads": thread_cap(),
     }
     if extras:
         config.update(extras)

@@ -262,11 +262,14 @@ class QuadratureRule:
 def _ladder_bounds(d, reach):
     """Window bounds of the truncation ladder: for each k >= 1 with
     d[0] * 2**k < reach, the first node at least that far from the
-    endpoint, without repeats (d: node distances from it, increasing)."""
+    endpoint, without repeats (d: node distances from it, increasing).
+    The bounds come out sorted, so repeats are adjacent; np.unique would
+    drop them too, but it imports numpy.ma, ~15 ms of a `pool` call."""
     if d[0] <= 0:
         return np.zeros(0, dtype=int)
     targets = d[0] * 2.0 ** np.arange(1, 60)
-    return np.unique(np.searchsorted(d, targets[targets < reach]))
+    bounds = np.searchsorted(d, targets[targets < reach])
+    return bounds[np.diff(bounds, prepend=-1) != 0]
 
 
 def _rule(density: GridDensity) -> QuadratureRule:

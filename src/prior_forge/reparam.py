@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, kolmogi
 
 from .errors import InputError
 from .sampling import _normalized_gamma
+from .special import _betainc, _kolmogi
 from .streams import RandomStream
 
 
@@ -149,7 +149,7 @@ def dirichlet_equivalence_report(a: float, m: int, count: int, betas,
     se_var = math.sqrt(
         max(mu4 - an_var ** 2 * (count - 3) / (count - 1), 0.0) / count
     )
-    ks_crit = float(kolmogi(0.01)) / math.sqrt(count)
+    ks_crit = float(_kolmogi(0.01)) / math.sqrt(count)
 
     checks = []
     for j, b in enumerate(scales):
@@ -157,7 +157,7 @@ def dirichlet_equivalence_report(a: float, m: int, count: int, betas,
         coord = np.sort(theta[:, 0])
         smean = float(coord.mean())
         svar = float(coord.var(ddof=1))
-        cdf = betainc(a, alpha_rest, coord)
+        cdf = _betainc(a, alpha_rest, coord)
         grid_hi = np.arange(1, count + 1) / count
         grid_lo = np.arange(0, count) / count
         ks = float(max(np.max(cdf - grid_lo), np.max(grid_hi - cdf)))

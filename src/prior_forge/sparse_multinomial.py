@@ -17,13 +17,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammaln
 
 from . import density as dens
 from .density import GridDensity, log_interp, read_density
 from .errors import InputError, NumericalError
 from .quadrature import (DEFAULT_TOL, QuadratureResult, _normalized_by,
                          _trapezoid_masses, integrate, mode, quantile)
+from .special import _betainc, _betaincinv, _gammaln
 from .util import thread_cap
 
 V_GRID_LO = 1e-4
@@ -113,11 +113,11 @@ def dm_log_marginal(data: CountVector, a) -> np.ndarray | float:
     if np.any(av <= 0) or not np.all(np.isfinite(av)):
         raise InputError("concentration a must be finite and positive")
     m, n = data.m, data.n
-    out = gammaln(m * av) - gammaln(m * av + n)
+    out = _gammaln(m * av) - _gammaln(m * av + n)
     # summing over occupied cells in sorted count order makes the result
     # bit-for-bit invariant under cell permutation, not just up to rounding
     for c in sorted(c for c in data.counts if c > 0):
-        out = out + gammaln(av + c) - gammaln(av)
+        out = out + _gammaln(av + c) - _gammaln(av)
     return float(out) if np.isscalar(a) or av.ndim == 0 else out
 
 
@@ -259,8 +259,8 @@ def v_summary_table(configs, hyper: HyperPriorSpec,
 
 
 def _beta_mean_interval(a: float, b: float, level: float = 0.95):
-    lo = betaincinv(a, b, (1.0 - level) / 2.0)
-    hi = betaincinv(a, b, 1.0 - (1.0 - level) / 2.0)
+    lo = _betaincinv(a, b, (1.0 - level) / 2.0)
+    hi = _betaincinv(a, b, 1.0 - (1.0 - level) / 2.0)
     return a / (a + b), float(lo), float(hi)
 
 
@@ -291,7 +291,7 @@ def _hier_cell_interval(data: CountVector, cell_count: int,
     b_cell = data.n + v - a_cell
 
     def cdf(x):
-        return float(np.sum(w * betainc(a_cell, b_cell, x)))
+        return float(np.sum(w * _betainc(a_cell, b_cell, x)))
 
     def invert(q):
         lo, hi = 0.0, 1.0

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +342,59 @@ def test_cli_components_match_library_constructors(spec, build):
     assert np.array_equal(got.nodes, want.nodes)
     assert np.array_equal(got.log_values, want.log_values)
     assert got.normalized == want.normalized
+
+
+POOL_SPEC = [{"family": "beta", "a": 0.5, "b": 0.5},
+             {"family": "beta", "a": 1.5, "b": 2.5}]
+
+
+def test_output_bytes_do_not_depend_on_the_thread_count(tmp_path, capsys, monkeypatch):
+    spec = write_pool_spec(tmp_path, POOL_SPEC, [0.3, 0.7])
+    jobs = [("ordered-mn", "--m", "6", "--count", "5000", "--seed", "31"),
+            ("pool", "--spec", spec, "--seed", "31"),
+            ("ordered-mn", "--m", "6", "--count", "5000", "--seed", "31",
+             "--format", "json")]
+    outputs = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("PRIOR_FORGE_THREADS", threads)
+        outputs[threads] = [run(capsys, *job) for job in jobs]
+    assert all(code == 0 for code, _, _ in outputs["1"])
+    assert outputs["1"] == outputs["4"]
+
+
+# Runs the README pool, holder and ordered-mn examples, then compare, in one
+# fresh interpreter, and reports after each step whether scipy is loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import prior_forge
+loaded = ["scipy" in sys.modules]
+from prior_forge.cli import main
+jobs = [
+    ["pool", "--spec", "pool.json", "--out", "pool.csv"],
+    ["holder", "--mu", "beta:a=0.5,b=0.5", "--nu", "beta:a=2,b=2",
+     "--alpha", "0.4", "--likelihood", "binomial", "--data", "3,10"],
+    ["ordered-mn", "--m", "10", "--count", "100000", "--out", "table.csv"],
+    ["compare", "--m", "1000", "--n", "3", "--r0", "3", "--format", "json"],
+]
+codes = []
+for job in jobs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(job))
+    loaded.append("scipy" in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_pool_holder_and_ordered_mn_never_import_scipy(tmp_path):
+    write_pool_spec(tmp_path, POOL_SPEC, [0.3, 0.7])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0, 0]
+    # after the import, pool, holder and ordered-mn: not loaded; after
+    # compare, which needs scipy's incomplete beta: loaded
+    assert report["loaded"] == [False, False, False, False, True]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prior_forge import pooling, quadrature
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
@@ -87,6 +89,18 @@ def test_geometric_pool_invariant_to_component_rescaling():
     b2 = b.with_log_values(b.log_values + math.log(1e-6))
     scaled = geometric_pool(PoolProblem((a2, b2), w))
     np.testing.assert_allclose(scaled.log_values, base.log_values, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(shapes=st.lists(st.floats(0.5, 5.0), min_size=4, max_size=4),
+       w=st.floats(0.05, 0.95), k=st.integers(0, 1), c=st.floats(-13.8, 13.8))
+def test_geometric_pool_invariant_to_any_rescaling(shapes, w, k, c):
+    comps = [beta_density(shapes[0], shapes[1]), beta_density(shapes[2], shapes[3])]
+    weights = PoolWeights((w, 1.0 - w))
+    base = geometric_pool(PoolProblem(tuple(comps), weights))
+    comps[k] = comps[k].with_log_values(comps[k].log_values + c)
+    scaled = geometric_pool(PoolProblem(tuple(comps), weights))
+    assert np.max(np.abs(scaled.log_values - base.log_values)) <= 1e-10
 
 
 def test_geometric_pool_component_permutation():

@@ -375,3 +375,15 @@ def test_shift_moves_log_value_by_the_shift(family, p, q, c):
     if not res.diverged:
         assert abs(moved.log_value - (res.log_value + c)) <= \
             1e-12 * max(1.0, abs(res.log_value + c))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(family=st.sampled_from(["beta", "gamma"]),
+       p=st.floats(0.3, 20.0), q=st.floats(0.3, 20.0), c=st.floats(-50.0, 50.0))
+def test_normalize_is_idempotent_on_random_kernels(family, p, q, c):
+    once = normalize(_kernel(family, p, q).shifted(c))
+    twice = normalize(once)
+    assert twice.normalized and np.array_equal(twice.log_values, once.log_values)
+    # with the flag cleared, a normalized density integrates to 1 again
+    again = normalize(once.with_log_values(once.log_values))
+    assert np.max(np.abs(again.log_values - once.log_values)) <= 1e-12

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from prior_forge.errors import InputError
@@ -98,6 +100,18 @@ def test_dm_log_marginal_permutation_invariant():
     x = dm_log_marginal(CountVector((3, 1, 0, 0, 1)), a)
     y = dm_log_marginal(CountVector((0, 1, 3, 1, 0)), a)
     np.testing.assert_array_equal(x, y)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), counts=st.lists(st.integers(0, 50), min_size=2, max_size=12),
+       a=st.floats(1e-3, 1e3))
+def test_dm_log_marginal_invariant_under_any_permutation(data, counts, a):
+    permuted = data.draw(st.permutations(counts))
+    grid = np.array([a, 2.0 * a, 0.5 * a])
+    assert dm_log_marginal(CountVector(tuple(permuted)), a) == \
+        dm_log_marginal(CountVector(tuple(counts)), a)
+    np.testing.assert_array_equal(dm_log_marginal(CountVector(tuple(permuted)), grid),
+                                  dm_log_marginal(CountVector(tuple(counts)), grid))
 
 
 def test_flat_hyperprior_posterior_improper():

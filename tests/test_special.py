@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prior_forge import InputError, digamma, log_beta, log_gamma
 
@@ -38,6 +40,63 @@ def test_log_beta_against_high_precision_reference():
         want = float(mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b))
         got = log_beta(a, b)
         assert abs(got - want) <= max(1e-12, 5e-13 * abs(want))
+
+
+def _mp_log_beta(a, b):
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    return float(mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b))
+
+
+@pytest.mark.parametrize("a,b", [(1e-6, 1e6), (1e-3, 1e8), (0.5, 1e7),
+                                 (3.0, 1e12), (1e6, 1e6)])
+def test_log_beta_lopsided_and_large_pairs(a, b):
+    # the plain lgamma(a) + lgamma(b) - lgamma(a+b) loses up to 3.9e-5 here
+    want = _mp_log_beta(a, b)
+    for got in (log_beta(a, b), log_beta(b, a)):
+        assert abs(got - want) <= 1e-11 * abs(want), f"({a}, {b}): {got} vs {want}"
+
+
+def test_log_gamma_scalars_across_the_documented_range():
+    xs = list(np.geomspace(1e-6, 1e6, 97)) + [0.999999, 1.000001, 1.4616321449683622,
+                                               1.999999, 2.000001]
+    for x in map(float, xs):
+        want = float(mpmath.loggamma(x))
+        got = log_gamma(x)
+        assert isinstance(got, float)
+        assert abs(got - want) <= max(1e-12, 4.0 * math.ulp(want)), f"x={x}: {got} vs {want}"
+
+
+_positive = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(a=_positive, b=_positive)
+def test_log_beta_is_symmetric(a, b):
+    assert log_beta(a, b) == log_beta(b, a)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(a=_positive, b=_positive)
+def test_log_beta_recurrence(a, b):
+    # B(a+1, b) = B(a, b) * a/(a+b); relative, with a 1e-12 absolute floor
+    # where log B(a+1, b) passes through zero
+    lhs = log_beta(a + 1.0, b)
+    rhs = log_beta(a, b) + math.log(a / (a + b))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), f"({a}, {b}): {lhs} vs {rhs}"
+
+
+def test_scalar_and_array_paths_agree():
+    # scalars come from math.lgamma, arrays from scipy. Above ~1e2 scipy's
+    # betaln itself sums log-gammas and loses digits on lopsided pairs
+    # (1.2e-9 at (0.1, 1e6)), so there the scalar log_beta is checked
+    # against mpmath instead, by the tests above.
+    xs = np.geomspace(1e-6, 1e6, 97)
+    for x, v in zip(xs, log_gamma(xs)):
+        assert abs(log_gamma(float(x)) - v) <= 1e-12 * max(1.0, abs(v))
+    grid = np.geomspace(1e-6, 1e2, 25)
+    a, b = (g.ravel() for g in np.meshgrid(grid, grid))
+    for x, y, v in zip(a, b, log_beta(a, b)):
+        assert abs(log_beta(float(x), float(y)) - v) <= 1e-12 * max(1.0, abs(v))
 
 
 def test_digamma_matches_reference():
