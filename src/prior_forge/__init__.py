@@ -19,9 +19,8 @@ from .propriety import (HolderReport, PooledProprietyReport,
 from .quadrature import (QuadratureResult, cdf_at, integrate, mode,
                          normalize, quantile)
 from .reparam import (EquivalenceReport, OrderedDiagnostics,
-                      StickBreakingSample, dirichlet_equivalence_report,
-                      gamma_normalize_sample, ordered_prior_diagnostics,
-                      stick_break)
+                      dirichlet_equivalence_report, gamma_normalize_sample,
+                      ordered_prior_diagnostics, stick_break)
 from .sampling import sample_dirichlet, sample_gamma
 from .sparse_multinomial import (CountVector, HyperPriorSpec, VPosterior,
                                  canonical_counts, cell_posterior_marginal,
@@ -48,7 +47,7 @@ __all__ = [
     "holder_check", "pooled_propriety", "posterior_mass",
     "QuadratureResult", "cdf_at", "integrate", "mode", "normalize",
     "quantile",
-    "EquivalenceReport", "OrderedDiagnostics", "StickBreakingSample",
+    "EquivalenceReport", "OrderedDiagnostics",
     "dirichlet_equivalence_report", "gamma_normalize_sample",
     "ordered_prior_diagnostics", "stick_break",
     "sample_dirichlet", "sample_gamma",

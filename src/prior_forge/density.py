@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .special import log_beta, log_gamma
-from .util import fmt_value, write_text_atomic
+from .util import fmt_value, median, write_text_atomic
 
 MIN_NODES = 16
 
@@ -33,10 +33,11 @@ EDGE_OFFSET = 1e-10
 
 
 class _RuleSlot:
-    """The quadrature rule of one node set, built on first use.
+    """The quadrature rule of one node set, filled on first use.
 
-    A slot is made with the first density on a new node set and shared by
-    every density derived from it, so the rule is built once per grid.
+    A slot is made with each density built from nodes and shared by every
+    density derived from it. Quadrature fills an empty slot with the rule
+    of a recent bit-equal node set when there is one (see quadrature._rule).
     """
 
     __slots__ = ("t_nodes", "t_lo", "t_hi", "rule")
@@ -164,13 +165,13 @@ def _derive_map(nodes, lo, hi):
     if math.isfinite(lo) and math.isfinite(hi):
         return nodes, lo, hi, np.zeros_like(nodes)
     if math.isfinite(lo) and hi == math.inf:
-        s, logjac = _halfline_map(nodes - lo, float(np.median(nodes - lo)))
+        s, logjac = _halfline_map(nodes - lo, float(median(nodes - lo)))
         return s, 0.0, 1.0, logjac
     if lo == -math.inf and math.isfinite(hi):
-        s, logjac = _halfline_map(hi - nodes, float(np.median(hi - nodes)))
+        s, logjac = _halfline_map(hi - nodes, float(median(hi - nodes)))
         return -s, -1.0, 0.0, logjac
     if lo == -math.inf and hi == math.inf:
-        center = float(np.median(nodes))
+        center = float(median(nodes))
         q1, q3 = np.quantile(nodes, [0.25, 0.75])
         c = max(float(q3 - q1) / 2.0, 1e-6)
         u = np.arctan((nodes - center) / c) / math.pi + 0.5

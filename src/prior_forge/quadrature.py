@@ -21,13 +21,14 @@ Everything above that depends on the grid alone is a QuadratureRule: the
 cap extents, each cap's distances from its endpoint, the truncation-ladder
 windows, and the weights of every pass. The cubic weights come in closed
 form per cell and are summed to node weights, so each pass is one
-weighted sum of integrand values. A rule is
-built from (t_nodes, t_lo, t_hi) on the first integrate over a node set
-and stored in the rule slot of the density; with_log_values and
+weighted sum of integrand values. The first integrate over a density
+stores the rule in the density's rule slot; with_log_values and
 dataclasses.replace pass the slot on, so every posterior, blend, pool and
-perturbation derived from one grid reuses its rule. A density built from
-new nodes gets a new, empty slot, even when the nodes equal those of
-another grid.
+perturbation derived from one grid reuses its rule. An empty slot, as a
+density built from new nodes has, is filled from a small table of recent
+rules keyed by the exact node set, so every Beta density on the default
+grid shares one rule. Equal keys mean bit-equal nodes, so a shared rule
+gives the same bits as a freshly built one.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -273,13 +275,21 @@ def _ladder_bounds(d, reach):
 
 
 def _rule(density: GridDensity) -> QuadratureRule:
-    """The density's quadrature rule, built into its shared slot on first
-    use. Two threads may both build it; the rules are equal, so either
-    may stay."""
+    """The density's quadrature rule, kept in its shared slot. An empty
+    slot is filled from the table of recent rules; keying copies and
+    hashes the nodes, so only an empty slot pays it. Two threads may both
+    fill a slot; the rules are equal, so either may stay."""
     slot = density._rule_slot
     if slot.rule is None:
-        slot.rule = QuadratureRule.build(slot.t_nodes, slot.t_lo, slot.t_hi)
+        slot.rule = _rule_for_nodes(slot.t_lo, slot.t_hi, slot.t_nodes.tobytes())
     return slot.rule
+
+
+@lru_cache(maxsize=8)
+def _rule_for_nodes(t_lo, t_hi, t_bytes) -> QuadratureRule:
+    """The rule of the node set whose float64 nodes have bytes t_bytes.
+    The table keeps the 8 most recent rules and is thread-safe."""
+    return QuadratureRule.build(np.frombuffer(t_bytes), t_lo, t_hi)
 
 
 def _cap_integral(cap, logg, tol, scale):

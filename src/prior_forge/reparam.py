@@ -18,18 +18,7 @@ from .errors import InputError
 from .sampling import _normalized_gamma
 from .special import _betainc, _kolmogi
 from .streams import RandomStream
-
-
-@dataclass(frozen=True)
-class StickBreakingSample:
-    """Stick fractions and the resulting probability vector.
-
-    theta has one more entry than xi; its last component is computed by
-    subtraction so the vector sums to 1 exactly.
-    """
-
-    xi: np.ndarray
-    theta: np.ndarray
+from .util import median
 
 
 def stick_break(xi) -> np.ndarray:
@@ -240,7 +229,7 @@ def ordered_prior_diagnostics(m: int, count: int,
     xi = np.clip(xi, tiny, 1.0 - 2.2e-16)
     theta = _stick_break_rows(xi)
     means = theta.mean(axis=0)
-    medians = np.median(theta, axis=0)
+    medians = median(theta, axis=0)
     analytic = np.array([2.0 ** -(k + 1) for k in range(m - 1)] + [2.0 ** -(m - 1)])
     rows = tuple(
         OrderedCellRow(

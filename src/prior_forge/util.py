@@ -1,11 +1,13 @@
-"""Small shared helpers: thread caps, value formatting and atomic text
-output."""
+"""Small shared helpers: thread caps, value formatting, atomic text
+output and a median."""
 
 from __future__ import annotations
 
 import math
 import os
 import tempfile
+
+import numpy as np
 
 THREADS_ENV = "PRIOR_FORGE_THREADS"
 
@@ -53,3 +55,16 @@ def fmt_value(value) -> str:
             return "-inf"
         return format(value, ".17g")
     return str(value)
+
+
+def median(a, axis=0):
+    """np.median of a NaN-free array along an axis, bit for bit, without
+    the numpy.ma import np.median makes on first use. An even count
+    averages the two middle values as (lo + hi) / 2, which is the
+    arithmetic of np.median's mean."""
+    n = a.shape[axis]
+    k = n // 2
+    if n % 2:
+        return np.partition(a, k, axis=axis).take(k, axis=axis)
+    part = np.partition(a, [k - 1, k], axis=axis)
+    return (part.take(k - 1, axis=axis) + part.take(k, axis=axis)) / 2.0

@@ -363,11 +363,13 @@ def test_output_bytes_do_not_depend_on_the_thread_count(tmp_path, capsys, monkey
 
 
 # Runs the README pool, holder and ordered-mn examples, then compare, in one
-# fresh interpreter, and reports after each step whether scipy is loaded.
+# fresh interpreter, and reports after each step whether scipy and numpy.ma
+# are loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import prior_forge
 loaded = ["scipy" in sys.modules]
+masked = ["numpy.ma" in sys.modules]
 from prior_forge.cli import main
 jobs = [
     ["pool", "--spec", "pool.json", "--out", "pool.csv"],
@@ -381,7 +383,8 @@ for job in jobs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(job))
     loaded.append("scipy" in sys.modules)
-print(json.dumps({"codes": codes, "loaded": loaded}))
+    masked.append("numpy.ma" in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded, "masked": masked}))
 """
 
 
@@ -398,3 +401,6 @@ def test_pool_holder_and_ordered_mn_never_import_scipy(tmp_path):
     # after the import, pool, holder and ordered-mn: not loaded; after
     # compare, which needs scipy's incomplete beta: loaded
     assert report["loaded"] == [False, False, False, False, True]
+    # numpy.ma (loaded by np.median, np.quantile and np.unique) stays out
+    # of all but compare, which is not checked
+    assert report["masked"][:4] == [False, False, False, False]

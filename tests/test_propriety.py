@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
                                  gamma_density, improper_flat)
@@ -99,6 +101,56 @@ def test_holder_symmetric_in_complementary_alpha():
     b = holder_check(nu, mu, 0.7, lik)
     assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
     assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
+
+
+def _log_beta(a, b):
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+@st.composite
+def holder_cases(draw):
+    """A Beta-binomial or gamma-Poisson Hölder check: (family, shapes,
+    data). Shapes and data stay where every posterior reaches the default
+    tolerance, so holder_check never refuses a precondition."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        return "beta", draw(st.tuples(*[st.floats(2.0, 8.0)] * 4)), \
+            (draw(st.integers(0, n)), n)
+    return "gamma", draw(st.tuples(st.floats(0.5, 8.0), st.floats(0.5, 8.0))), \
+        draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=holder_cases(), alpha=st.floats(0.0, 1.0))
+def test_holder_masses_match_closed_forms(case, alpha):
+    # mu^alpha nu^(1-alpha) is the family's kernel at the blended shapes
+    # over the product of the normalizers, so all three masses have
+    # closed forms
+    family, shapes, data = case
+    if family == "beta":
+        (a1, b1, a2, b2), (k, n) = shapes, data
+        mu, nu, lik = beta_density(a1, b1), beta_density(a2, b2), binomial_counts(k, n)
+        p1, p2 = (a1, b1), (a2, b2)
+        log_norm = _log_beta
+
+        def log_kernel_mass(a, b):
+            return _log_beta(a + k, b + n - k)
+    else:
+        (s1, s2), total, rate = shapes, sum(data), 1 + len(data)
+        mu, nu, lik = gamma_density(s1), gamma_density(s2), poisson_counts(data)
+        p1, p2 = (s1,), (s2,)
+        log_norm = math.lgamma
+
+        def log_kernel_mass(s):
+            return math.lgamma(s + total) - (s + total) * math.log(rate)
+    blend = [alpha * x + (1.0 - alpha) * y for x, y in zip(p1, p2)]
+    want = [log_kernel_mass(*blend) - alpha * log_norm(*p1) - (1.0 - alpha) * log_norm(*p2),
+            log_kernel_mass(*p1) - log_norm(*p1),
+            log_kernel_mass(*p2) - log_norm(*p2)]
+    rep = holder_check(mu, nu, alpha, lik)
+    assert rep.holds
+    got = [rep.lhs, rep.mu_mass.mass.value, rep.nu_mass.mass.value]
+    assert got == pytest.approx([math.exp(w) for w in want], rel=1e-8)
 
 
 def test_holder_check_evaluates_the_likelihood_once(monkeypatch):

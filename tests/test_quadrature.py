@@ -21,7 +21,8 @@ from prior_forge import (InputError, NumericalError, beta_density,
                          normal_density, normalize, quantile)
 from prior_forge.density import (GridDensity, bounded_nodes, halfline_density,
                                  realline_density)
-from prior_forge.quadrature import QuadratureRule, _cell_weights, _rule, cdf_at
+from prior_forge.quadrature import (QuadratureRule, _cell_weights, _rule,
+                                    _rule_for_nodes, cdf_at)
 
 
 def kernel_beta(a, b):
@@ -322,10 +323,12 @@ def test_fresh_grid_with_equal_nodes_integrates_bit_identically():
     fresh = kernel_beta(0.5, 2.5)
     assert _rule(shared) is _rule(first)
     assert fresh._rule_slot is not first._rule_slot
+    assert _rule(fresh) is _rule(first)
     assert integrate(shared) == integrate(fresh)
 
 
-def test_with_log_values_reuses_the_rule(monkeypatch):
+def count_rule_builds(monkeypatch):
+    """Empty the table of recent rules and record each rule build."""
     builds = []
     real_build = QuadratureRule.build.__func__
 
@@ -334,6 +337,12 @@ def test_with_log_values_reuses_the_rule(monkeypatch):
         return real_build(cls, *args)
 
     monkeypatch.setattr(QuadratureRule, "build", classmethod(counting_build))
+    _rule_for_nodes.cache_clear()
+    return builds
+
+
+def test_with_log_values_reuses_the_rule(monkeypatch):
+    builds = count_rule_builds(monkeypatch)
     d = gamma_density(3.0)
     derived = d.with_log_values(2.0 * d.log_values)
     integrate(derived)
@@ -341,6 +350,34 @@ def test_with_log_values_reuses_the_rule(monkeypatch):
     integrate(derived.shifted(1.0))
     normalize(replace(d, normalized=False))
     assert len(builds) == 1
+
+
+def test_densities_on_equal_nodes_build_one_rule(monkeypatch):
+    builds = count_rule_builds(monkeypatch)
+    betas = [beta_density(a, b) for a, b in ((0.5, 0.5), (2.0, 3.0), (7.0, 1.5))]
+    gammas = [gamma_density(shape) for shape in (0.7, 4.0)]
+    for d in betas + gammas:
+        assert integrate(d).converged
+    assert len(builds) == 2
+    assert all(_rule(d) is _rule(betas[0]) for d in betas)
+    assert _rule(gammas[1]) is _rule(gammas[0])
+
+
+def test_rule_table_stays_bounded_and_rebuilds_bit_identically(monkeypatch):
+    builds = count_rule_builds(monkeypatch)
+    bound = _rule_for_nodes.cache_info().maxsize
+    first = kernel_beta(2.5, 3.5)
+    want = integrate(first)
+    for n in range(2049, 2049 + 2 * bound):
+        integrate(beta_density(2.0, 2.0, n=n))
+    assert _rule_for_nodes.cache_info().currsize == bound
+    assert len(builds) == 1 + 2 * bound
+    # the first grid's rule has been evicted: a fresh density on those
+    # nodes builds it again, and the rebuilt rule gives the same bits
+    again = kernel_beta(2.5, 3.5)
+    assert integrate(again) == want
+    assert len(builds) == 2 + 2 * bound
+    assert _rule(again) is not _rule(first)
 
 
 def test_grid_density_rejects_a_rule_for_other_nodes():

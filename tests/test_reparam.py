@@ -8,6 +8,7 @@ from prior_forge.reparam import (dirichlet_equivalence_report,
                                  gamma_normalize_sample,
                                  ordered_prior_diagnostics, stick_break)
 from prior_forge.streams import RandomStream
+from prior_forge.util import median
 
 
 def test_stick_break_worked_example():
@@ -96,6 +97,14 @@ def test_ordered_diagnostics_means_halve():
     # symmetric Beta(1/2, 1/2); later cells are right-skewed products)
     medians = np.array([r.empirical_median for r in d.rows])
     assert np.all(medians[1:5] < means[1:5])
+
+
+def test_median_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape in [(1,), (2,), (17,), (4096,), (4097,), (9, 4), (10, 3)]:
+        a = rng.standard_normal(shape) * np.exp(5.0 * rng.standard_normal(shape))
+        got, want = np.asarray(median(a, axis=0)), np.asarray(np.median(a, axis=0))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_ordered_diagnostics_validation():
