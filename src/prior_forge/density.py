@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .special import log_beta, log_gamma
-from .util import fmt_value, median, write_text_atomic
+from .util import fmt_value, median, sorted_quantile, write_text_atomic
 
 MIN_NODES = 16
 
@@ -172,8 +172,8 @@ def _derive_map(nodes, lo, hi):
         return -s, -1.0, 0.0, logjac
     if lo == -math.inf and hi == math.inf:
         center = float(median(nodes))
-        q1, q3 = np.quantile(nodes, [0.25, 0.75])
-        c = max(float(q3 - q1) / 2.0, 1e-6)
+        q1, q3 = sorted_quantile(nodes, 0.25), sorted_quantile(nodes, 0.75)
+        c = max((q3 - q1) / 2.0, 1e-6)
         u = np.arctan((nodes - center) / c) / math.pi + 0.5
         return u, 0.0, 1.0, _arctan_log_jacobian(u, c)
     raise InputError("unsupported domain specification")

@@ -13,6 +13,7 @@ and the hierarchical treatment side by side.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .density import GridDensity, log_interp, read_density
 from .errors import InputError, NumericalError
 from .quadrature import (DEFAULT_TOL, QuadratureResult, _normalized_by,
                          _trapezoid_masses, integrate, mode, quantile)
-from .special import _betainc, _betaincinv, _gammaln
+from .special import _betainc, _betaincinv, _gammaln, log_beta
 from .util import thread_cap
 
 V_GRID_LO = 1e-4
@@ -31,6 +32,10 @@ V_GRID_HI = 1e4
 V_GRID_NODES = 2049
 
 HYPER_KINDS = ("pareto-v", "flat-in-a", "flat-in-log-a", "grid-file")
+
+# where the cell interval is bracketed: the smallest normal double, log10 x
+# at -30, -3 and -0.3, and the largest double below 1
+_BRACKET_X = np.array([sys.float_info.min, 1e-30, 1e-3, 0.5, np.nextafter(1.0, 0.0), 1.0])
 
 
 @dataclass(frozen=True)
@@ -114,10 +119,11 @@ def dm_log_marginal(data: CountVector, a) -> np.ndarray | float:
         raise InputError("concentration a must be finite and positive")
     m, n = data.m, data.n
     out = _gammaln(m * av) - _gammaln(m * av + n)
-    # summing over occupied cells in sorted count order makes the result
-    # bit-for-bit invariant under cell permutation, not just up to rounding
-    for c in sorted(c for c in data.counts if c > 0):
-        out = out + _gammaln(av + c) - _gammaln(av)
+    # one term per distinct occupied count, in sorted order, so the result
+    # is bit-for-bit invariant under cell permutation
+    log_gamma_a = _gammaln(av)
+    for c in sorted(set(data.counts) - {0}):
+        out = out + data.counts.count(c) * (_gammaln(av + c) - log_gamma_a)
     return float(out) if np.isscalar(a) or av.ndim == 0 else out
 
 
@@ -274,9 +280,13 @@ def _hier_cell_interval(data: CountVector, cell_count: int,
                         posterior: GridDensity, level: float = 0.95):
     """Central interval of the mixture-of-Beta cell posterior.
 
-    The v-posterior is discretized to trapezoid weights; the mixture CDF
-    F(x) = sum_k w_k BetaCDF(x; n_i + a_k, n + v_k - n_i - a_k) is then
-    inverted by bisection.
+    Trapezoid weights w_k of the v-posterior give the mixture CDF
+    F(x) = sum_k w_k BetaCDF(x; a_k, b_k), a_k = n_i + v_k/m, b_k = n + v_k - a_k.
+    One broadcast incomplete beta over _BRACKET_X brackets both tails. Each
+    is refined by Newton steps in log x with Halley's correction, from the
+    closed-form mixture pdf; a step that leaves the bracket is replaced by
+    bisection (Brent 1973). A quantile that underflows is reported as the
+    smallest normal double, and one above the last double below 1 as 1.
     """
     cell = _trapezoid_masses(posterior)
     w = np.zeros(len(posterior.nodes))
@@ -287,21 +297,41 @@ def _hier_cell_interval(data: CountVector, cell_count: int,
         raise NumericalError("v-posterior mass vanished on the grid")
     w = w / total
     v = posterior.nodes
-    a_cell = cell_count + v / data.m
-    b_cell = data.n + v - a_cell
-
-    def cdf(x):
-        return float(np.sum(w * _betainc(a_cell, b_cell, x)))
+    a = cell_count + v / data.m
+    b = data.n + v - a
+    log_b = log_beta(a, b)
+    cdf = w @ _betainc(a[:, None], b[:, None], _BRACKET_X)
 
     def invert(q):
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if cdf(mid) < q:
-                lo = mid
+        j = int(np.searchsorted(cdf, q))
+        if j == 0:
+            return sys.float_info.min
+        lo, hi = float(_BRACKET_X[j - 1]), float(_BRACKET_X[j])
+        x = hi
+        for _ in range(100):
+            if not lo < x < hi:
+                # bisect in log x; two adjacent doubles leave no midpoint
+                x = math.sqrt(lo) * math.sqrt(hi)
+                if not lo < x < hi:
+                    return hi
+            f_x = float(w @ _betainc(a, b, x))
+            lo, hi = (x, hi) if f_x < q else (lo, x)
+            # x times the mixture pdf, which is dF/d(log x), and its derivative
+            terms = w * np.exp(a * math.log(x) + (b - 1.0) * math.log1p(-x) - log_b)
+            g, dg = float(terms.sum()), float(terms @ (a - (b - 1.0) * x / (1.0 - x)))
+            # the step on h = log(F/q) below the median, where a power law
+            # is linear, and on h = F - q above it
+            if q < 0.5 and f_x > 0.0:
+                h, h1, h2 = math.log(f_x / q), g / f_x, (dg - g * g / f_x) / f_x
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                h, h1, h2 = f_x - q, g, dg
+            denom = 2.0 * h1 * h1 - h * h2
+            du = -2.0 * h * h1 / denom if denom > 0.0 else math.nan
+            x = x * math.exp(min(du, 700.0))
+            # Halley's step leaves an error of order du^3
+            if abs(du) <= 1e-6 and lo <= x <= hi:
+                return x
+        return hi
 
     tail = (1.0 - level) / 2.0
     return invert(tail), invert(1.0 - tail)

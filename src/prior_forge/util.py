@@ -1,5 +1,5 @@
 """Small shared helpers: thread caps, value formatting, atomic text
-output and a median."""
+output, a median and a quantile of sorted values."""
 
 from __future__ import annotations
 
@@ -68,3 +68,12 @@ def median(a, axis=0):
         return np.partition(a, k, axis=axis).take(k, axis=axis)
     part = np.partition(a, [k - 1, k], axis=axis)
     return (part.take(k - 1, axis=axis) + part.take(k, axis=axis)) / 2.0
+
+
+def sorted_quantile(a, q: float) -> float:
+    """np.quantile(a, q) of a sorted NaN-free 1-D array, bit for bit, by its
+    interpolation at index (len(a) - 1) * q, without its numpy.ma import."""
+    pos = (len(a) - 1) * q
+    i = min(math.floor(pos), len(a) - 2)
+    lo, hi, t = float(a[i]), float(a[i + 1]), pos - i
+    return hi - (hi - lo) * (1.0 - t) if t >= 0.5 else lo + (hi - lo) * t

@@ -10,7 +10,8 @@ import pytest
 
 from prior_forge.cli import main
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
-                                 gamma_density, normal_density, read_density)
+                                 gamma_density, normal_density, read_density,
+                                 write_density)
 
 
 def run(capsys, *argv):
@@ -362,9 +363,10 @@ def test_output_bytes_do_not_depend_on_the_thread_count(tmp_path, capsys, monkey
     assert outputs["1"] == outputs["4"]
 
 
-# Runs the README pool, holder and ordered-mn examples, then compare, in one
-# fresh interpreter, and reports after each step whether scipy and numpy.ma
-# are loaded.
+# Runs the README pool, holder and ordered-mn examples, a pool over a
+# real-line grid file, sparse-mn in each input mode under each hyperprior,
+# then compare, in one fresh interpreter. After the import and after each
+# job it reports whether scipy and numpy.ma are loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import prior_forge
@@ -376,8 +378,13 @@ jobs = [
     ["holder", "--mu", "beta:a=0.5,b=0.5", "--nu", "beta:a=2,b=2",
      "--alpha", "0.4", "--likelihood", "binomial", "--data", "3,10"],
     ["ordered-mn", "--m", "10", "--count", "100000", "--out", "table.csv"],
-    ["compare", "--m", "1000", "--n", "3", "--r0", "3", "--format", "json"],
+    ["pool", "--spec", "realline.json", "--out", "realline.csv"],
 ]
+for hyper in ("pareto-v", "flat-in-a", "flat-in-log-a"):
+    jobs += [["sparse-mn", "--m", "1000", "--n", "3", "--r0", "3", "--hyperprior", hyper],
+             ["sparse-mn", "--counts", "2,1,0,0,0,0", "--hyperprior", hyper],
+             ["sparse-mn", "--configs", "sweep.json", "--hyperprior", hyper]]
+jobs.append(["compare", "--m", "1000", "--n", "3", "--r0", "3", "--format", "json"])
 codes = []
 for job in jobs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -388,8 +395,15 @@ print(json.dumps({"codes": codes, "loaded": loaded, "masked": masked}))
 """
 
 
-def test_pool_holder_and_ordered_mn_never_import_scipy(tmp_path):
+def test_pool_holder_ordered_mn_and_sparse_mn_never_import_scipy(tmp_path):
     write_pool_spec(tmp_path, POOL_SPEC, [0.3, 0.7])
+    # a real-line grid file carries no map, so reading it derives one
+    write_density(normal_density(0.0, 1.0), tmp_path / "normal.csv")
+    (tmp_path / "realline.json").write_text(json.dumps(
+        {"components": [{"family": "grid-file", "path": "normal.csv"},
+                        {"family": "normal", "mean": 1.0, "sd": 2.0}]}))
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        [{"m": 100, "n": 3, "r0": 1}, {"m": 1000, "n": 5, "r0": 2}]))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -397,10 +411,11 @@ def test_pool_holder_and_ordered_mn_never_import_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0, 0, 0]
-    # after the import, pool, holder and ordered-mn: not loaded; after
-    # compare, which needs scipy's incomplete beta: loaded
-    assert report["loaded"] == [False, False, False, False, True]
+    assert report["codes"] == [0] * 14
+    # not loaded after the import, the pools, holder, ordered-mn and the
+    # nine sparse-mn jobs; loaded after compare, which needs scipy's
+    # incomplete beta
+    assert report["loaded"] == [False] * 14 + [True]
     # numpy.ma (loaded by np.median, np.quantile and np.unique) stays out
     # of all but compare, which is not checked
-    assert report["masked"][:4] == [False, False, False, False]
+    assert report["masked"][:14] == [False] * 14

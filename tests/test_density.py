@@ -7,6 +7,7 @@ from prior_forge import (GridDensity, InputError, beta_density, bounded_nodes,
                          gamma_density, improper_flat, log_interp,
                          normal_density, read_density, write_density)
 from prior_forge.density import halfline_density, realline_density
+from prior_forge.util import sorted_quantile
 
 
 def test_nodes_must_be_strictly_increasing():
@@ -188,3 +189,16 @@ def test_improper_flat_rejects_half_open_lower_support():
         improper_flat(-math.inf, 0.0)
     with pytest.raises(InputError, match="lo < hi"):
         improper_flat(1.0, 0.0)
+
+
+def test_sorted_quantile_matches_numpy_bit_for_bit():
+    # _derive_map takes a real-line grid's quartiles from its sorted nodes
+    rng = np.random.default_rng(11)
+    grids = [normal_density(mu, sd, n).nodes for mu, sd, n in
+             ((0.0, 1.0, 2049), (3.0, 0.01, 2049), (-5.0, 100.0, 2048), (1e6, 2.0, 17))]
+    grids += [np.sort(rng.standard_normal(n) * np.exp(5.0 * rng.standard_normal(n)))
+              for n in (1, 2, 3, 4, 5, 6, 17, 1000, 4097) for _ in range(5)]
+    for nodes in grids:
+        for q in (0.25, 0.75):
+            got = np.float64(sorted_quantile(nodes, q))
+            assert got.tobytes() == np.quantile(nodes, q).tobytes(), (len(nodes), q)

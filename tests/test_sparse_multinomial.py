@@ -1,12 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
+from prior_forge import sparse_multinomial as smn
 from prior_forge.errors import InputError
+from prior_forge.quadrature import _trapezoid_masses
 from prior_forge.sparse_multinomial import (CountVector, HyperPriorSpec,
                                             canonical_counts,
                                             cell_posterior_marginal,
@@ -216,6 +219,89 @@ def test_compare_priors_exact_conjugate_columns():
     for r in rows:
         assert r["jeffreys_lo"] < r["jeffreys_mean"] < r["jeffreys_hi"]
         assert r["hierarchical_lo"] < r["hierarchical_mean"] < r["hierarchical_hi"]
+
+
+def _mixture_cdf(data, count, posterior):
+    """F(x) of the hierarchical cell posterior: Beta(count + v/m,
+    n + v - count - v/m) mixed over trapezoid weights of the v-posterior."""
+    cell = _trapezoid_masses(posterior)
+    w = np.zeros(len(posterior.nodes))
+    w[:-1] += 0.5 * cell
+    w[1:] += 0.5 * cell
+    w /= w.sum()
+    a = count + posterior.nodes / data.m
+    b = data.n + posterior.nodes - a
+    return lambda x: float(np.sum(w * betainc(a, b, x)))
+
+
+def _bisection_quantile(cdf, q):
+    # the 80-step bisection the interval inversion used to run; its
+    # resolution is 2^-80
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# every (n, r0) of the sparse-mn benchmark sweep, for m in {100, 1000, 10000}
+_SWEEP = [(m, n, r0) for m in (100, 1000, 10000) for n in (3, 5, 10)
+          for r0 in range(1, min(n, 5) + 1)]
+
+
+def _hierarchical_endpoints(m, n, r0):
+    data = canonical_counts(m, n, r0)
+    hyper = HyperPriorSpec("pareto-v")
+    vp = v_posterior(data, hyper)
+    rows = compare_priors(data, hyper) if vp.proper else []
+    return [(_mixture_cdf(data, r["count"], vp.density), r["hierarchical_lo"],
+             r["hierarchical_hi"]) for r in rows]
+
+
+def test_hierarchical_interval_endpoints_invert_the_mixture_cdf():
+    tail = 0.025
+    checked = 0
+    for m, n, r0 in _SWEEP:
+        for cdf, lo, hi in _hierarchical_endpoints(m, n, r0):
+            for x, q in ((lo, tail), (hi, 1.0 - tail)):
+                if x == sys.float_info.min:
+                    # the quantile underflows
+                    ok = cdf(x) >= q
+                elif x == 1.0:
+                    # the mixture holds more than 1 - q within an ulp of 1
+                    ok = cdf(np.nextafter(1.0, 0.0)) < q
+                else:
+                    ok = abs(cdf(x) - q) <= 1e-12
+                assert ok, f"m={m} n={n} r0={r0} q={q}: x={x!r}, F(x)={cdf(x)!r}"
+                checked += 1
+    assert checked == 4 * len(_SWEEP)
+
+
+@pytest.mark.parametrize("m,n,r0", [(1000, 3, 3), (100, 10, 5), (10000, 5, 2),
+                                    (100, 3, 1)])
+def test_hierarchical_interval_matches_the_bisection(m, n, r0):
+    for cdf, lo, hi in _hierarchical_endpoints(m, n, r0):
+        for x, q in ((lo, 0.025), (hi, 0.975)):
+            ref = _bisection_quantile(cdf, q)
+            if ref > 2.0 ** -80:
+                assert abs(x - ref) <= 1e-12, (q, x, ref)
+
+
+def test_compare_interval_evaluates_few_incomplete_betas(monkeypatch):
+    # the 80-step bisection evaluated 655,680 incomplete-beta elements here
+    betainc_kernel, evaluated = smn._betainc, []
+
+    def counting(a, b, x):
+        out = betainc_kernel(a, b, x)
+        evaluated.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(smn, "_betainc", counting)
+    compare_priors(canonical_counts(1000, 3, 3), HyperPriorSpec("pareto-v"))
+    assert 0 < sum(evaluated) <= 655_680 // 5
 
 
 def test_compare_priors_at_half_reproduces_reference():

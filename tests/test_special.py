@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prior_forge
 from prior_forge import InputError, digamma, log_beta, log_gamma
 
 mpmath.mp.dps = 50
@@ -86,17 +88,24 @@ def test_log_beta_recurrence(a, b):
 
 
 def test_scalar_and_array_paths_agree():
-    # scalars come from math.lgamma, arrays from scipy. Above ~1e2 scipy's
-    # betaln itself sums log-gammas and loses digits on lopsided pairs
-    # (1.2e-9 at (0.1, 1e6)), so there the scalar log_beta is checked
-    # against mpmath instead, by the tests above.
+    # both evaluate math.lgamma, an array element by element, so they agree
+    # across the whole documented range, lopsided log_beta pairs included
     xs = np.geomspace(1e-6, 1e6, 97)
     for x, v in zip(xs, log_gamma(xs)):
         assert abs(log_gamma(float(x)) - v) <= 1e-12 * max(1.0, abs(v))
-    grid = np.geomspace(1e-6, 1e2, 25)
+    grid = np.geomspace(1e-6, 1e6, 25)
     a, b = (g.ravel() for g in np.meshgrid(grid, grid))
     for x, y, v in zip(a, b, log_beta(a, b)):
         assert abs(log_beta(float(x), float(y)) - v) <= 1e-12 * max(1.0, abs(v))
+
+
+def test_only_the_special_module_names_scipy():
+    # scipy is imported lazily inside special.py; a module that names it
+    # elsewhere would put it back on the import path of scipy-free commands
+    package = Path(prior_forge.__file__).parent
+    named = [str(p.relative_to(package)) for p in sorted(package.rglob("*.py"))
+             if p.name != "special.py" and "scipy" in p.read_text()]
+    assert named == []
 
 
 def test_digamma_matches_reference():
