@@ -27,7 +27,7 @@ from .sparse_multinomial import (CountVector, HyperPriorSpec, VPosterior,
                                  compare_priors, dm_log_marginal,
                                  jeffreys_posterior, large_m_stability,
                                  v_posterior, v_summary_table)
-from .special import digamma, log_beta, log_gamma
+from .special import log_beta, log_gamma
 from .streams import RandomStream
 
 __version__ = "0.1.0"
@@ -55,6 +55,6 @@ __all__ = [
     "cell_posterior_marginal", "compare_priors", "dm_log_marginal",
     "jeffreys_posterior", "large_m_stability", "v_posterior",
     "v_summary_table",
-    "digamma", "log_beta", "log_gamma",
+    "log_beta", "log_gamma",
     "RandomStream",
 ]

@@ -180,36 +180,32 @@ def _build_components(specs: list) -> list:
             for r in recipes]
 
 
-def _parse_likelihood(name: str, data: str):
-    if name == "normal":
-        obs = [float(v) for v in data.split(",")]
-        return normal_location(obs)
-    if name == "binomial":
-        parts = data.split(",")
-        if len(parts) != 2:
-            raise InputError("binomial data must be 'successes,trials'")
-        return binomial_counts(int(parts[0]), int(parts[1]))
-    if name == "poisson":
-        return poisson_counts([int(v) for v in data.split(",")])
-    if name == "multinomial":
-        return multinomial_counts([int(v) for v in data.split(",")])
-    if name == "grid-file":
-        table = read_density(data)
-        return tabulated_likelihood(table.nodes, table.log_values,
-                                    table.domain_lo, table.domain_hi)
-    raise InputError(f"unknown likelihood family {name!r}")
+def _binomial_from_data(data: str):
+    parts = data.split(",")
+    if len(parts) != 2:
+        raise InputError("binomial data must be 'successes,trials'")
+    return binomial_counts(int(parts[0]), int(parts[1]))
 
 
-def _effective_config(args, command, extras=None):
-    config = {
-        "command": command,
-        "seed": args.seed,
-        "tol": args.tol,
-        "format": args.format,
-    }
-    if extras:
-        config.update(extras)
-    return config
+def _tabulated_from_file(path: str):
+    table = read_density(path)
+    return tabulated_likelihood(table.nodes, table.log_values,
+                                table.domain_lo, table.domain_hi)
+
+
+# --likelihood name -> constructor from the --data string
+_LIKELIHOODS = {
+    "normal": lambda data: normal_location([float(v) for v in data.split(",")]),
+    "binomial": _binomial_from_data,
+    "poisson": lambda data: poisson_counts([int(v) for v in data.split(",")]),
+    "multinomial": lambda data: multinomial_counts([int(v) for v in data.split(",")]),
+    "grid-file": _tabulated_from_file,
+}
+
+
+def _effective_config(args, command, extras):
+    return {"command": command, "seed": args.seed, "tol": args.tol,
+            "format": args.format, **extras}
 
 
 def _input_name(path):
@@ -291,7 +287,7 @@ def _cmd_pool(args) -> int:
 
 def _cmd_holder(args) -> int:
     components = _build_components([args.mu, args.nu])
-    likelihood = _parse_likelihood(args.likelihood, args.data)
+    likelihood = _LIKELIHOODS[args.likelihood](args.data)
     report = holder_check(components[0], components[1], args.alpha,
                           likelihood, args.tol)
     config = _effective_config(args, "holder", {
@@ -335,12 +331,8 @@ def _cmd_sparse_mn(args) -> int:
     if args.configs:
         rows = v_summary_table(_read_configs(args.configs), hyper,
                                tolerance=args.tol)
-    elif args.counts:
-        rows = [v_summary_row(_counts_from_args(args), hyper, args.tol)]
     else:
-        data = _counts_from_args(args)
-        rows = v_summary_table([(data.m, data.n, data.r0)], hyper,
-                               tolerance=args.tol)
+        rows = [v_summary_row(_counts_from_args(args), hyper, args.tol)]
     config = _effective_config(args, "sparse-mn", {
         "hyperprior": hyper.kind,
         "a_max": hyper.a_max,
@@ -427,9 +419,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", required=True, help="density spec, e.g. beta:a=0.5,b=0.5")
     p.add_argument("--nu", required=True, help="density spec, e.g. exp-tilt:b=1")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--likelihood", required=True,
-                   choices=("normal", "binomial", "poisson", "multinomial",
-                            "grid-file"))
+    p.add_argument("--likelihood", required=True, choices=tuple(_LIKELIHOODS))
     p.add_argument("--data", required=True,
                    help="comma-separated data (or a file path for grid-file)")
     p.set_defaults(handler=_cmd_holder)
@@ -489,10 +479,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
-    except (InputError, OSError, ValueError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except PriorForgeError as exc:
+    except (PriorForgeError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -404,6 +404,15 @@ def log_interp(density: GridDensity, x) -> np.ndarray:
     return out
 
 
+def _interp_within(nodes, log_values, x, what: str) -> np.ndarray:
+    """np.interp of a log table at x; x outside the nodes is an InputError."""
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    if x.size and (x.min() < lo or x.max() > hi):
+        raise InputError(f"{what}: table covers [{lo!r}, {hi!r}] but is evaluated "
+                         f"on [{float(x.min())!r}, {float(x.max())!r}]")
+    return np.interp(x, nodes, log_values)
+
+
 # ---------------------------------------------------------------------------
 # CSV persistence
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import _interp_within
 from .errors import InputError
 
 
@@ -20,7 +21,7 @@ from .errors import InputError
 class LikelihoodModel:
     """A univariate log-likelihood kernel over a parameter domain.
 
-    family: one of "normal-location", "binomial", "poisson", "grid".
+    family: a key of _LOG_KERNELS, the family's log kernel.
     data: the observed data in family-specific form.
     domain_lo / domain_hi: the parameter domain the kernel is defined on.
     """
@@ -34,32 +35,38 @@ class LikelihoodModel:
 
     def log_on(self, theta) -> np.ndarray:
         """Log-likelihood kernel at parameter values theta."""
-        x = np.asarray(theta, dtype=float)
-        if self.family == "normal-location":
-            obs = np.asarray(self.data, dtype=float)
-            return -0.5 * np.sum((x[..., None] - obs[None, :]) ** 2, axis=-1)
-        if self.family == "binomial":
-            k, n = self.data
-            out = np.zeros_like(x)
-            if k > 0:
-                out = out + k * np.log(x)
-            if n - k > 0:
-                out = out + (n - k) * np.log1p(-x)
-            return out
-        if self.family == "poisson":
-            total, n_obs = self.data
-            out = -float(n_obs) * x
-            if total > 0:
-                out = out + float(total) * np.log(x)
-            return out
-        if self.family == "grid":
-            return np.interp(x, self.table_nodes, self.table_log_values,
-                             left=-math.inf, right=-math.inf)
-        raise InputError(f"unknown likelihood family {self.family!r}")
+        kernel = _LOG_KERNELS.get(self.family)
+        if kernel is None:
+            raise InputError(f"unknown likelihood family {self.family!r}")
+        return kernel(self, np.asarray(theta, dtype=float))
 
     def contains(self, lo: float, hi: float) -> bool:
         """Whether [lo, hi] lies inside this kernel's parameter domain."""
         return self.domain_lo <= lo and hi <= self.domain_hi
+
+
+def _binomial(model, x):
+    # a zero count drops its term, so 0 * log(0) never reaches an endpoint
+    k, n = model.data
+    return ((k * np.log(x) if k > 0 else 0.0)
+            + ((n - k) * np.log1p(-x) if n > k else 0.0))
+
+
+def _poisson(model, x):
+    total, n_obs = model.data
+    out = -float(n_obs) * x
+    return out + float(total) * np.log(x) if total > 0 else out
+
+
+# family -> log kernel (model, theta array) -> log-likelihood array
+_LOG_KERNELS = {
+    "normal-location": lambda model, x: -0.5 * np.sum(
+        (x[..., None] - np.asarray(model.data, dtype=float)[None, :]) ** 2, axis=-1),
+    "binomial": _binomial,
+    "poisson": _poisson,
+    "grid": lambda model, x: _interp_within(
+        model.table_nodes, model.table_log_values, x, "tabulated likelihood"),
+}
 
 
 def normal_location(observations) -> LikelihoodModel:
@@ -112,7 +119,7 @@ def multinomial_counts(counts) -> LikelihoodModel:
 def tabulated_likelihood(nodes, log_values, domain_lo: float,
                          domain_hi: float) -> LikelihoodModel:
     """Likelihood kernel given by a table, interpolated linearly in the
-    log; -inf outside the tabulated range."""
+    log. Evaluating it outside the tabulated node range is an InputError."""
     x = np.asarray(nodes, dtype=float)
     lv = np.asarray(log_values, dtype=float)
     if x.ndim != 1 or len(x) != len(lv) or len(x) < 2:

@@ -418,7 +418,7 @@ def _integrate_table(rule, logg, tol):
     with np.errstate(over="ignore"):
         value = float(val * np.exp(M))
         err_abs = float(err * np.exp(M))
-    converged = err <= tol * max(abs(val), 1e-300)
+    converged = bool(err <= tol * max(abs(val), 1e-300))
     return dict(value=value, logvalue=logvalue, err=err_abs,
                 converged=converged, diverged=False, detail=detail)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density as dens
-from .density import GridDensity, log_interp, read_density
+from .density import GridDensity, _interp_within, read_density
 from .errors import InputError, NumericalError
 from .quadrature import (DEFAULT_TOL, QuadratureResult, _normalized_by,
                          _trapezoid_masses, integrate, mode, quantile)
@@ -31,7 +31,21 @@ V_GRID_LO = 1e-4
 V_GRID_HI = 1e4
 V_GRID_NODES = 2049
 
-HYPER_KINDS = ("pareto-v", "flat-in-a", "flat-in-log-a", "grid-file")
+
+def _grid_file_hyper(spec, v):
+    table = read_density(spec.path)
+    return _interp_within(table.nodes, table.log_values, v, "grid-file hyperprior")
+
+
+# hyperprior kind -> log density in v (spec, v array), up to a constant;
+# flat-in-a is flat in v as well (the Jacobian of v = m*a is constant)
+_LOG_HYPER_IN_V = {
+    "pareto-v": lambda spec, v: -2.0 * np.log1p(v),
+    "flat-in-a": lambda spec, v: np.zeros_like(v),
+    "flat-in-log-a": lambda spec, v: -np.log(v),
+    "grid-file": _grid_file_hyper,
+}
+HYPER_KINDS = tuple(_LOG_HYPER_IN_V)
 
 # where the cell interval is bracketed: the smallest normal double, log10 x
 # at -30, -3 and -0.3, and the largest double below 1
@@ -131,8 +145,8 @@ def dm_log_marginal(data: CountVector, a) -> np.ndarray | float:
 class HyperPriorSpec:
     """Hyperprior over the total concentration v = m*a.
 
-    kind: "flat-in-a", "flat-in-log-a", "pareto-v" (density proportional
-        to (1+v)^-2), or "grid-file" (tabulated density over v).
+    kind: one of HYPER_KINDS, the keys of _LOG_HYPER_IN_V; "grid-file" is
+        a tabulated density over v that must cover the v-grid.
     a_max: optional domain truncation; the v-grid then stops at m*a_max
         and the support is declared bounded.
     path: density file for kind "grid-file".
@@ -153,21 +167,6 @@ class HyperPriorSpec:
             raise InputError("grid-file hyperprior needs a path")
 
 
-def _log_hyper_in_v(spec: HyperPriorSpec, v: np.ndarray) -> np.ndarray:
-    """Log hyperprior density expressed in v (up to a constant).
-
-    flat-in-a is flat in v as well (the Jacobian of v = m*a is constant).
-    """
-    if spec.kind == "flat-in-a":
-        return np.zeros_like(v)
-    if spec.kind == "flat-in-log-a":
-        return -np.log(v)
-    if spec.kind == "pareto-v":
-        return -2.0 * np.log1p(v)
-    table = read_density(spec.path)
-    return log_interp(table, v)
-
-
 def _v_grid_density(data: CountVector, hyper: HyperPriorSpec,
                     grid_spec=None) -> GridDensity:
     """Unnormalized v-posterior kernel on the standard v-grid.
@@ -183,7 +182,7 @@ def _v_grid_density(data: CountVector, hyper: HyperPriorSpec,
     m = data.m
 
     def lp(v):
-        return _log_hyper_in_v(hyper, v) + dm_log_marginal(data, v / m)
+        return _LOG_HYPER_IN_V[hyper.kind](hyper, v) + dm_log_marginal(data, v / m)
 
     if hyper.a_max is not None:
         v_hi = m * hyper.a_max

@@ -1,9 +1,9 @@
-"""Log-gamma, log-beta, digamma on validated domains.
+"""Log-gamma and log-beta on validated domains.
 
 Positive arguments only. Log-gamma and log-beta come from the standard
 library's `math.lgamma`, element by element for arrays, so scalars and
 arrays share one path. This is the only module of the package that names
-scipy; it imports `scipy.special` on first use, only for `digamma` and the
+scipy; it imports `scipy.special` on first use, and only for the
 incomplete-beta and Kolmogorov kernels at the end of the module.
 """
 
@@ -95,13 +95,6 @@ def log_beta(a, b):
     if _is_scalar(a, aa) and _is_scalar(b, bb):
         return _scalar_log_beta(float(aa), float(bb))
     return _elementwise(_scalar_log_beta, aa, bb)
-
-
-def digamma(x):
-    """Logarithmic derivative of the gamma function for x > 0."""
-    arr = _check_positive(x, "x")
-    out = _scipy_special().digamma(arr)
-    return float(out) if _is_scalar(x, arr) else out
 
 
 # Unvalidated array kernels for the package's own modules, which check

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,8 +11,11 @@ import pytest
 
 from prior_forge.cli import main
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
-                                 gamma_density, normal_density, read_density,
-                                 write_density)
+                                 gamma_density, improper_flat, normal_density,
+                                 read_density, write_density)
+from prior_forge.likelihoods import (binomial_counts, multinomial_counts,
+                                     normal_location, poisson_counts,
+                                     tabulated_likelihood)
 
 
 def run(capsys, *argv):
@@ -343,6 +347,65 @@ def test_cli_components_match_library_constructors(spec, build):
     assert np.array_equal(got.nodes, want.nodes)
     assert np.array_equal(got.log_values, want.log_values)
     assert got.normalized == want.normalized
+
+
+@pytest.mark.parametrize("name, data, build", [
+    ("normal", "0.5,-1.25", lambda: normal_location([0.5, -1.25])),
+    ("binomial", "3,10", lambda: binomial_counts(3, 10)),
+    ("poisson", "2,0,5", lambda: poisson_counts([2, 0, 5])),
+    ("multinomial", "3,4", lambda: multinomial_counts([3, 4])),
+    ("grid-file", "table.csv", lambda: tabulated_likelihood(
+        gamma_density(2.0).nodes, gamma_density(2.0).log_values, 0.0, math.inf)),
+])
+def test_cli_likelihoods_match_library_constructors(tmp_path, monkeypatch,
+                                                    name, data, build):
+    # --data strings and library calls build the same model, bit for bit
+    from prior_forge.cli import _LIKELIHOODS
+
+    monkeypatch.chdir(tmp_path)
+    write_density(gamma_density(2.0), "table.csv")
+    got, want = _LIKELIHOODS[name](data), build()
+    assert (got.family, got.data, got.domain_lo, got.domain_hi) == \
+        (want.family, want.data, want.domain_lo, want.domain_hi)
+    theta = improper_flat(want.domain_lo, want.domain_hi).nodes
+    assert np.array_equal(got.log_on(theta), want.log_on(theta))
+
+
+def test_cli_choices_are_the_table_keys():
+    from prior_forge.cli import _LIKELIHOODS, _build_parser
+    from prior_forge.sparse_multinomial import _LOG_HYPER_IN_V
+
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {(command, action.dest): tuple(action.choices)
+               for command, sub in subparsers.items()
+               for action in sub._actions if action.choices}
+    assert choices[("holder", "likelihood")] == tuple(_LIKELIHOODS) == (
+        "normal", "binomial", "poisson", "multinomial", "grid-file")
+    for command in ("sparse-mn", "compare"):
+        assert choices[(command, "hyperprior")] == tuple(_LOG_HYPER_IN_V) == (
+            "pareto-v", "flat-in-a", "flat-in-log-a", "grid-file")
+
+
+def test_tables_that_miss_the_grid_exit_one(tmp_path, capsys, monkeypatch):
+    from prior_forge.density import halfline_density
+
+    monkeypatch.chdir(tmp_path)
+    write_density(halfline_density(lambda x: -x, n=64, lo_frac=0.5, hi_frac=3.0),
+                  "lik.csv")
+    code, stdout, err = run(capsys, "holder", "--mu", "gamma:shape=2",
+                            "--nu", "gamma:shape=3", "--alpha", "0.3",
+                            "--likelihood", "grid-file", "--data", "lik.csv")
+    assert code == 1 and stdout == ""
+    assert err == ("error: tabulated likelihood: table covers [0.5, 3.0] but is "
+                   "evaluated on [1e-10, 10000.0]\n")
+    write_density(halfline_density(lambda v: -2.0 * np.log1p(v), n=257,
+                                   lo_frac=1e-2, hi_frac=1e2), "hyper.csv")
+    code, stdout, err = run(capsys, "sparse-mn", "--m", "1000", "--n", "3",
+                            "--r0", "3", "--hyperprior", "grid-file",
+                            "--hyper-file", "hyper.csv")
+    assert code == 1 and stdout == ""
+    assert "covers [0.01, 100.0] but is evaluated on [0.0001, 10000.0]" in err
 
 
 POOL_SPEC = [{"family": "beta", "a": 0.5, "b": 0.5},

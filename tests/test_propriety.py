@@ -66,6 +66,16 @@ def test_tabulated_likelihood_matches_callable():
     assert v.mass.value == pytest.approx(1.0, rel=1e-6)
 
 
+def test_tabulated_likelihood_must_cover_the_grid():
+    # outside its nodes the table would read -inf and truncate the posterior
+    lik = tabulated_likelihood(np.linspace(0.5, 3.0, 64), np.zeros(64), 0.0, math.inf)
+    with pytest.raises(InputError, match=r"covers \[0.5, 3.0\] but is evaluated "
+                                         r"on \[1e-10, 10000.0\]"):
+        posterior_mass(improper_flat(0.0, math.inf), lik)
+    inside = np.linspace(0.5, 3.0, 7)
+    assert np.array_equal(lik.log_on(inside), np.zeros(7))
+
+
 def test_holder_flat_vs_tilt_closed_form():
     # mu flat, nu = exp(theta): the blended posterior mass is
     # sqrt(2*pi) * exp((1-alpha)^2 / 2) for a single observation at zero

@@ -21,6 +21,8 @@ from prior_forge import (InputError, NumericalError, beta_density,
                          normal_density, normalize, quantile)
 from prior_forge.density import (GridDensity, bounded_nodes, halfline_density,
                                  realline_density)
+from prior_forge.likelihoods import binomial_counts
+from prior_forge.propriety import posterior_mass
 from prior_forge.quadrature import (QuadratureRule, _cell_weights, _rule,
                                     _rule_for_nodes, cdf_at)
 
@@ -161,6 +163,16 @@ def test_error_estimate_covers_true_error_on_known_cases():
         res = integrate(kernel_beta(a, b))
         true_err = abs(res.value - math.exp(betaln(a, b)))
         assert true_err <= max(res.abs_error_estimate * 50, 1e-9 * res.value)
+
+
+def test_converged_is_a_python_bool():
+    # bounded, half-line and real-line grids, then an unconverged posterior
+    results = [integrate(d) for d in (beta_density(2.0, 2.0), gamma_density(2.0),
+                                      normal_density())]
+    results.append(posterior_mass(beta_density(2.0, 2.0),
+                                  binomial_counts(0, 30)).mass)
+    assert [r.converged for r in results] == [True, True, True, False]
+    assert all(type(r.converged) is bool for r in results)
 
 
 def test_zero_integrand():

@@ -168,6 +168,41 @@ def test_grid_file_hyperprior_matches_pareto(tmp_path):
         assert alt.summary[key] == pytest.approx(ref.summary[key], rel=1e-4)
 
 
+def _pareto_table(path, lo, hi, n):
+    from prior_forge.density import halfline_density, write_density
+
+    table = halfline_density(lambda v: -2.0 * np.log1p(v), scale=1.0, n=n,
+                             lo_frac=lo, hi_frac=hi)
+    write_density(table, path)
+    return table
+
+
+def test_grid_file_hyperprior_must_cover_the_v_grid(tmp_path):
+    # a table over [1e-2, 1e2] would read -inf on the rest of the v-grid
+    path = tmp_path / "short.csv"
+    _pareto_table(path, 1e-2, 1e2, 257)
+    data = canonical_counts(1000, 3, 3)
+    assert v_posterior(data, HyperPriorSpec("pareto-v")).proper
+    with pytest.raises(InputError, match=r"covers \[0.01, 100.0\] but is evaluated "
+                                         r"on \[0.0001, 10000.0\]"):
+        v_posterior(data, HyperPriorSpec("grid-file", path=str(path)))
+
+
+@pytest.mark.parametrize("kind, closed_form", [
+    ("pareto-v", lambda v, table: -2.0 * np.log1p(v)),
+    ("flat-in-a", lambda v, table: np.zeros_like(v)),
+    ("flat-in-log-a", lambda v, table: -np.log(v)),
+    # the table, interpolated linearly in log density between its nodes
+    ("grid-file", lambda v, table: np.interp(v, table.nodes, table.log_values)),
+])
+def test_hyperprior_log_kernels_match_closed_forms(tmp_path, kind, closed_form):
+    path = tmp_path / "hyper.csv"
+    table = _pareto_table(path, 1e-5, 1e5, 513)
+    v = np.geomspace(smn.V_GRID_LO, smn.V_GRID_HI, 301)
+    got = smn._LOG_HYPER_IN_V[kind](HyperPriorSpec(kind, path=str(path)), v)
+    assert np.array_equal(got, closed_form(v, table))
+
+
 def test_hyper_prior_spec_validation():
     with pytest.raises(InputError):
         HyperPriorSpec("no-such-kind")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prior_forge
-from prior_forge import InputError, digamma, log_beta, log_gamma
+from prior_forge import InputError, log_beta, log_gamma
 
 mpmath.mp.dps = 50
 
@@ -108,12 +108,6 @@ def test_only_the_special_module_names_scipy():
     assert named == []
 
 
-def test_digamma_matches_reference():
-    for x in (0.5, 1.0, 2.0, 10.0, 500.0):
-        want = float(mpmath.digamma(x))
-        assert abs(digamma(x) - want) <= max(1e-12, 1e-13 * abs(want))
-
-
 def test_vectorized_over_arrays():
     xs = np.array([0.5, 1.0, 2.0])
     out = log_gamma(xs)
@@ -127,5 +121,3 @@ def test_rejects_nonpositive_arguments(bad):
         log_gamma(bad)
     with pytest.raises(InputError):
         log_beta(bad, 1.0)
-    with pytest.raises(InputError):
-        digamma(bad)
