@@ -4,8 +4,8 @@ multinomial shrinkage."""
 from .density import (GridDensity, beta_density, bounded_density,
                       bounded_nodes, exp_tilt_density, flat_density,
                       gamma_density, halfline_density, improper_flat,
-                      log_interp, normal_density, read_density,
-                      realline_density, write_density)
+                      normal_density, read_density, realline_density,
+                      write_density)
 from .errors import InputError, NumericalError, PriorForgeError
 from .likelihoods import (LikelihoodModel, binomial_counts,
                           multinomial_counts, normal_location,
@@ -19,9 +19,7 @@ from .propriety import (HolderReport, PooledProprietyReport,
 from .quadrature import (QuadratureResult, cdf_at, integrate, mode,
                          normalize, quantile)
 from .reparam import (EquivalenceReport, OrderedDiagnostics,
-                      dirichlet_equivalence_report, gamma_normalize_sample,
-                      ordered_prior_diagnostics, stick_break)
-from .sampling import sample_dirichlet, sample_gamma
+                      dirichlet_equivalence_report, ordered_prior_diagnostics)
 from .sparse_multinomial import (CountVector, HyperPriorSpec, VPosterior,
                                  canonical_counts, cell_posterior_marginal,
                                  compare_priors, dm_log_marginal,
@@ -35,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GridDensity", "beta_density", "bounded_density", "bounded_nodes",
     "exp_tilt_density", "flat_density", "gamma_density", "halfline_density",
-    "improper_flat", "log_interp", "normal_density", "read_density",
+    "improper_flat", "normal_density", "read_density",
     "realline_density", "write_density",
     "InputError", "NumericalError", "PriorForgeError",
     "LikelihoodModel", "binomial_counts", "multinomial_counts",
@@ -48,9 +46,7 @@ __all__ = [
     "QuadratureResult", "cdf_at", "integrate", "mode", "normalize",
     "quantile",
     "EquivalenceReport", "OrderedDiagnostics",
-    "dirichlet_equivalence_report", "gamma_normalize_sample",
-    "ordered_prior_diagnostics", "stick_break",
-    "sample_dirichlet", "sample_gamma",
+    "dirichlet_equivalence_report", "ordered_prior_diagnostics",
     "CountVector", "HyperPriorSpec", "VPosterior", "canonical_counts",
     "cell_posterior_marginal", "compare_priors", "dm_log_marginal",
     "jeffreys_posterior", "large_m_stability", "v_posterior",

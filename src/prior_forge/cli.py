@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -26,8 +27,10 @@ from .likelihoods import (binomial_counts, multinomial_counts,
 from .pooling import (PoolProblem, PoolWeights, arithmetic_pool,
                       equal_weights, geometric_pool)
 from .propriety import holder_check
-from .reparam import dirichlet_equivalence_report, ordered_prior_diagnostics
-from .sparse_multinomial import (HYPER_KINDS, SUMMARY_COLUMNS, CountVector,
+from .reparam import (MarginalCheck, OrderedCellRow,
+                      dirichlet_equivalence_report, ordered_prior_diagnostics)
+from .sparse_multinomial import (COMPARE_COLUMNS, HYPER_KINDS,
+                                 SUMMARY_COLUMNS, CountVector,
                                  HyperPriorSpec, canonical_counts,
                                  compare_priors, v_summary_row,
                                  v_summary_table)
@@ -351,11 +354,7 @@ def _cmd_compare(args) -> int:
         "m": data.m, "n": data.n, "r0": data.r0,
         "hyperprior": hyper.kind, "a_point": a_point,
     })
-    columns = ["cell", "count",
-               "jeffreys_mean", "jeffreys_lo", "jeffreys_hi",
-               "conditional_mean", "conditional_lo", "conditional_hi",
-               "hierarchical_mean", "hierarchical_lo", "hierarchical_hi"]
-    return _emit_rows(args, config, rows, columns)
+    return _emit_rows(args, config, rows, COMPARE_COLUMNS)
 
 
 def _cmd_poisson_equiv(args) -> int:
@@ -366,10 +365,8 @@ def _cmd_poisson_equiv(args) -> int:
     config = _effective_config(args, "poisson-equiv", {
         "a": args.a, "m": args.m, "count": args.count, "betas": args.betas,
     })
-    columns = ["beta_scale", "sample_mean", "analytic_mean", "mean_tolerance",
-               "mean_ok", "sample_var", "analytic_var", "var_tolerance",
-               "var_ok", "ks_statistic", "ks_critical", "ks_ok"]
-    rows = [{c: getattr(check, c) for c in columns} for check in report.checks]
+    rows = [asdict(check) for check in report.checks]
+    columns = [f.name for f in fields(MarginalCheck)]
     return _emit_rows(args, config, rows, columns,
                       exact_invariance_sup=report.exact_invariance_sup,
                       all_ok=report.all_ok)
@@ -381,8 +378,8 @@ def _cmd_ordered_mn(args) -> int:
     config = _effective_config(args, "ordered-mn", {
         "m": args.m, "count": args.count,
     })
-    columns = ["k", "analytic_mean", "empirical_mean", "empirical_median"]
-    rows = [{c: getattr(r, c) for c in columns} for r in report.rows]
+    rows = [asdict(r) for r in report.rows]
+    columns = [f.name for f in fields(OrderedCellRow)]
     return _emit_rows(args, config, rows, columns,
                       k_star=report.k_star, mean_sum=report.mean_sum)
 

@@ -30,6 +30,10 @@ MIN_NODES = 16
 # relative offset used when default grids avoid declared endpoint
 # singularities on bounded intervals
 EDGE_OFFSET = 1e-10
+# geometric cells in each edge zone of a bounded grid, and the zone's share
+# of the span
+EDGE_CELLS = 384
+EDGE_ZONE_FRAC = 1.0 / 32.0
 
 
 class _RuleSlot:
@@ -194,15 +198,14 @@ def _arctan_log_jacobian(u, c):
 # default grid layouts
 
 
-def bounded_nodes(lo: float, hi: float, n: int = 4097, edge_cells: int = 384,
-                  zone_frac: float = 1.0 / 32.0) -> np.ndarray:
+def bounded_nodes(lo: float, hi: float, n: int = 4097) -> np.ndarray:
     """Default abscissae for a bounded support.
 
-    Uniform core plus geometrically refined zones over the outer
-    `zone_frac` of each side, reaching down to an offset of 1e-10 times
-    the span. The refinement keeps endpoint-singular kernels (Beta with
-    parameters below 1) integrable to tight tolerance; smooth densities
-    are unaffected.
+    Uniform core plus EDGE_CELLS geometrically refined cells over the
+    outer EDGE_ZONE_FRAC of each side, reaching down to an offset of
+    EDGE_OFFSET times the span. The refinement keeps endpoint-singular
+    kernels (Beta with parameters below 1) integrable to tight tolerance;
+    smooth densities are unaffected.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InputError("bounded_nodes requires finite lo < hi")
@@ -210,12 +213,12 @@ def bounded_nodes(lo: float, hi: float, n: int = 4097, edge_cells: int = 384,
         raise InputError(f"need at least {MIN_NODES} nodes")
     span = hi - lo
     off = EDGE_OFFSET * span
-    n_core = n - 2 * edge_cells
+    n_core = n - 2 * EDGE_CELLS
     if n_core < 8:
-        raise InputError("node budget too small for the requested edge refinement")
-    zone = zone_frac * span
+        raise InputError("node budget too small for the edge refinement")
+    zone = EDGE_ZONE_FRAC * span
     core = np.linspace(lo + zone, hi - zone, n_core)
-    left = np.geomspace(off, zone, edge_cells + 1)[:-1]
+    left = np.geomspace(off, zone, EDGE_CELLS + 1)[:-1]
     return np.concatenate([lo + left, core, hi - left[::-1]])
 
 
@@ -389,19 +392,6 @@ def exp_tilt_density(b: float, n: int = 2049) -> GridDensity:
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation
-
-
-def log_interp(density: GridDensity, x) -> np.ndarray:
-    """Linear interpolation of the log density at abscissae x.
-
-    Points outside the tabulated node range evaluate to -inf (the density
-    is treated as unsupported there). Useful for file-backed densities
-    consumed at arbitrary points.
-    """
-    xq = np.asarray(x, dtype=float)
-    out = np.interp(xq, density.nodes, density.log_values,
-                    left=-math.inf, right=-math.inf)
-    return out
 
 
 def _interp_within(nodes, log_values, x, what: str) -> np.ndarray:

@@ -9,7 +9,7 @@ constants scale every integral identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,8 @@ class LikelihoodModel:
     """A univariate log-likelihood kernel over a parameter domain.
 
     family: a key of _LOG_KERNELS, the family's log kernel.
-    data: the observed data in family-specific form.
+    data: the observed data in family-specific form; a table's nodes and
+        log values as tuples, so that models compare and hash by value.
     domain_lo / domain_hi: the parameter domain the kernel is defined on.
     """
 
@@ -30,8 +31,8 @@ class LikelihoodModel:
     data: tuple
     domain_lo: float
     domain_hi: float
-    table_nodes: np.ndarray = None
-    table_log_values: np.ndarray = None
+    table_nodes: np.ndarray = field(default=None, repr=False, compare=False)
+    table_log_values: np.ndarray = field(default=None, repr=False, compare=False)
 
     def log_on(self, theta) -> np.ndarray:
         """Log-likelihood kernel at parameter values theta."""
@@ -132,5 +133,6 @@ def tabulated_likelihood(nodes, log_values, domain_lo: float,
     lv = lv.copy()
     x.setflags(write=False)
     lv.setflags(write=False)
-    return LikelihoodModel("grid", (), float(domain_lo), float(domain_hi),
+    return LikelihoodModel("grid", (tuple(x.tolist()), tuple(lv.tolist())),
+                           float(domain_lo), float(domain_hi),
                            table_nodes=x, table_log_values=lv)

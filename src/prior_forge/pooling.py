@@ -189,26 +189,21 @@ class OptimalityReport:
     min_margin: float
     all_nonnegative: bool
     n_perturbations: int
-    details: str = ""
     pooled: GridDensity = field(repr=False, default=None)
 
 
 def verify_pool_optimality(problem: PoolProblem, n_perturbations: int,
-                           stream: RandomStream,
-                           epsilon_range=(0.01, 0.5)) -> OptimalityReport:
+                           stream: RandomStream) -> OptimalityReport:
     """Check that the geometric pool minimizes the KL objective.
 
     Each perturbation multiplies the pooled density by exp(eps * bump)
-    with a Gaussian bump of random center and width (in the compactified
-    variable), renormalizes, and compares objectives. Perturbation k
-    derives its own substream, so results do not depend on execution
-    order or thread count. Requires a proper pool.
+    with eps uniform on (0.01, 0.5) and a Gaussian bump of random center
+    and width (in the compactified variable), renormalizes, and compares
+    objectives. Perturbation k derives its own substream, so results do
+    not depend on execution order or thread count. Requires a proper pool.
     """
     if n_perturbations <= 0:
         raise InputError("n_perturbations must be positive")
-    eps_lo, eps_hi = float(epsilon_range[0]), float(epsilon_range[1])
-    if eps_lo < 0 or eps_hi < eps_lo:
-        raise InputError("epsilon_range must satisfy 0 <= lo <= hi")
     pool = geometric_pool(problem)
     if not pool.normalized:
         raise InputError(
@@ -223,9 +218,7 @@ def verify_pool_optimality(problem: PoolProblem, n_perturbations: int,
         rng = stream.substream(k)
         center = t[0] + t_span * rng.uniform()
         width = t_span * rng.uniform(0.02, 0.2)
-        eps = rng.uniform(eps_lo, eps_hi)
-        if eps == 0.0:
-            return 0.0, 0.0
+        eps = rng.uniform(0.01, 0.5)
         bump = np.exp(-0.5 * ((t - center) / width) ** 2)
         eta = normalize(pool.with_log_values(pool.log_values + eps * bump))
         return kl_objective(eta, problem) - d_pool, eps

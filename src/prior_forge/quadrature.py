@@ -7,9 +7,11 @@ leading exponent p of the integrand is fitted from the innermost nodes,
 the fitted power law is integrated in closed form and the cubic rule
 only sees the remainder, and the remaining sliver between the grid
 offset and the true endpoint is extrapolated. Integrable singularities
-(p > -1) converge; exponents at or below -0.999, or truncated partial
-integrals that keep growing as the window doubles toward an endpoint, are
-reported as divergence.
+(p > -1) converge; exponents at or below -0.999 are reported as
+divergence at either endpoint. At the lower endpoint only, so are
+truncated partial integrals that keep growing as the window doubles
+toward it (the truncation ladder); the upper endpoint is guarded by the
+exponent fit alone.
 
 Error estimates combine Richardson comparison against a half-resolution
 pass (fourth-order rule: |I - I_half| / 8, region-aligned so the two
@@ -217,8 +219,8 @@ class QuadratureRule:
     bulk_half / w_bulk_half: nodes and node weights of the
         half-resolution pass over the bulk.
     lower / upper: the endpoint caps (None when empty).
-    ladder_lo / ladder_hi: the truncation ladder's windows at each offset
-        endpoint (None when there are none).
+    ladder_lo: the truncation ladder's windows at an offset lower endpoint
+        (None when there are none).
     """
 
     w_all: np.ndarray
@@ -229,7 +231,6 @@ class QuadratureRule:
     lower: _Cap
     upper: _Cap
     ladder_lo: _Ladder
-    ladder_hi: _Ladder
 
     @classmethod
     def build(cls, t, t_lo, t_hi):
@@ -257,7 +258,6 @@ class QuadratureRule:
             lower=_Cap.build(d_lo[: m_lo + 1]) if m_lo > 0 else None,
             upper=_Cap.build(d_hi[: m_hi + 1]) if m_hi > 0 else None,
             ladder_lo=_Ladder.build(w, _ladder_bounds(d_lo, d_lo[-1] / 8)),
-            ladder_hi=_Ladder.build(w, n - _ladder_bounds(d_hi, d_hi[-1] / 8)[::-1]),
         )
 
 
@@ -362,12 +362,13 @@ def _cap_integral(cap, logg, tol, scale):
     return v, err, False, ""
 
 
-def _integrate_table(rule, logg, tol):
+def _integrate_table(rule, logg, tol) -> QuadratureResult:
     """Core integration routine on the compactified variable."""
     finite = np.isfinite(logg)
     if not finite.any():
-        return dict(value=0.0, logvalue=-math.inf, err=0.0, converged=True,
-                    diverged=False, detail="zero integrand")
+        return QuadratureResult(value=0.0, abs_error_estimate=0.0, converged=True,
+                                diverged=False, log_value=-math.inf,
+                                detail="zero integrand")
     M = float(np.max(logg[finite]))
     lg = np.where(finite, logg - M, -np.inf)
     g = np.where(finite, np.exp(lg), 0.0)
@@ -392,35 +393,30 @@ def _integrate_table(rule, logg, tol):
         val += v
         err += e
 
-    if not diverged:
-        # truncation ladder: the masses of doubling windows anchored at
-        # each offset endpoint, ordered toward it; increments that stay
+    if not diverged and rule.ladder_lo is not None:
+        # truncation ladder: the masses of doubling windows anchored at the
+        # offset lower endpoint, ordered toward it; increments that stay
         # significant and shrink no faster than ratio 0.9995 (the rate the
         # -0.999 exponent cutoff allows) mean non-integrable mass. The
-        # upper increments are negated masses, so for a nonnegative
-        # integrand only the cap's exponent fit can flag that side.
-        for side, ladder in (("lower", rule.ladder_lo), ("upper", rule.ladder_hi)):
-            if ladder is None:
-                continue
-            masses = ladder.masses(g)
-            inc = masses[::-1] if side == "lower" else -masses
-            if len(inc) >= 4:
-                last = inc[-3:]
-                if np.all(last > 10.0 * tol * scale) and np.all(last[1:] >= 0.9995 * last[:-1]):
-                    diverged = True
-                    detail = f"{side} tail contributions not stabilizing"
-                    break
+        # upper endpoint has no ladder: the cap's exponent fit guards it.
+        inc = rule.ladder_lo.masses(g)[::-1]
+        if len(inc) >= 4:
+            last = inc[-3:]
+            if np.all(last > 10.0 * tol * scale) and np.all(last[1:] >= 0.9995 * last[:-1]):
+                diverged, detail = True, "lower tail contributions not stabilizing"
 
     if diverged:
-        return dict(value=math.inf, logvalue=math.inf, err=math.inf,
-                    converged=False, diverged=True, detail=detail)
+        return QuadratureResult(value=math.inf, abs_error_estimate=math.inf,
+                                converged=False, diverged=True,
+                                log_value=math.inf, detail=detail)
     logvalue = math.log(val) + M if val > 0 else -math.inf
     with np.errstate(over="ignore"):
         value = float(val * np.exp(M))
         err_abs = float(err * np.exp(M))
     converged = bool(err <= tol * max(abs(val), 1e-300))
-    return dict(value=value, logvalue=logvalue, err=err_abs,
-                converged=converged, diverged=False, detail=detail)
+    return QuadratureResult(value=value, abs_error_estimate=err_abs,
+                            converged=converged, diverged=False,
+                            log_value=logvalue)
 
 
 def integrate(density: GridDensity, tolerance: float = DEFAULT_TOL) -> QuadratureResult:
@@ -434,15 +430,7 @@ def integrate(density: GridDensity, tolerance: float = DEFAULT_TOL) -> Quadratur
     if not (0 < tolerance < 1):
         raise InputError("tolerance must be in (0, 1)")
     logg = density.log_values + density.log_jacobian
-    out = _integrate_table(_rule(density), logg, tolerance)
-    return QuadratureResult(
-        value=out["value"],
-        abs_error_estimate=out["err"],
-        converged=out["converged"],
-        diverged=out["diverged"],
-        log_value=out.get("logvalue", math.nan),
-        detail=out["detail"],
-    )
+    return _integrate_table(_rule(density), logg, tolerance)
 
 
 def normalize(density: GridDensity, tolerance: float = DEFAULT_TOL) -> GridDensity:

@@ -15,31 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .sampling import _normalized_gamma
 from .special import _betainc, _kolmogi
 from .streams import RandomStream
 from .util import median
 
 
-def stick_break(xi) -> np.ndarray:
-    """Probability vector from stick fractions in (0, 1).
+def _stick_break_rows(xi: np.ndarray) -> np.ndarray:
+    """Probability vectors from rows of stick fractions in (0, 1).
 
     theta_1 = xi_1, theta_k = xi_k * prod_{j<k} (1 - xi_j), and the last
     component is the remaining stick, computed by subtraction (clamped at
-    zero against rounding). Fractions outside the open interval are a
-    domain error.
+    zero against rounding).
     """
-    x = np.asarray(xi, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise InputError("xi must be a nonempty 1-D vector")
-    if np.any(x <= 0.0) or np.any(x >= 1.0) or not np.all(np.isfinite(x)):
-        raise InputError("stick fractions must lie strictly inside (0, 1)")
-    theta = _stick_break_rows(x[None, :])[0]
-    return theta
-
-
-def _stick_break_rows(xi: np.ndarray) -> np.ndarray:
-    """Vectorized stick-breaking over rows of fractions."""
     count, mm1 = xi.shape
     remaining = np.cumprod(1.0 - xi, axis=1)
     theta = np.empty((count, mm1 + 1))
@@ -50,35 +37,30 @@ def _stick_break_rows(xi: np.ndarray) -> np.ndarray:
     return theta
 
 
-def gamma_normalize_sample(a: float, beta: float, m: int, count: int,
-                           stream: RandomStream) -> np.ndarray:
-    """Probability vectors from normalized gamma draws.
-
-    Each row normalizes m independent Gamma(a, beta) variates. The scale
-    beta multiplies the standard draws explicitly, so reusing a stream
-    across different beta values yields identical vectors up to rounding.
-    """
-    if a <= 0 or beta <= 0:
-        raise InputError("gamma shape and scale must be positive")
-    if m < 2:
-        raise InputError("need at least 2 cells")
-    if count <= 0:
-        raise InputError("count must be positive")
-    return _normalized_gamma(stream.generator(), a, (count, m), beta)
+def _normalized_gamma(rng: np.random.Generator, shape, size,
+                      scale: float) -> np.ndarray:
+    """Rows of independent Gamma(shape, scale) draws, each divided by its
+    sum. The scale multiplies the standard draws explicitly, so it cancels
+    up to rounding."""
+    g = rng.standard_gamma(shape, size=size) * scale
+    return g / g.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class MarginalCheck:
-    """Agreement of one sampled coordinate with its Beta(a, (m-1)a) law."""
+    """Agreement of one sampled coordinate with its Beta(a, (m-1)a) law.
+
+    The field order is the column order of the poisson-equiv table.
+    """
 
     beta_scale: float
     sample_mean: float
-    sample_var: float
     analytic_mean: float
-    analytic_var: float
     mean_tolerance: float
-    var_tolerance: float
     mean_ok: bool
+    sample_var: float
+    analytic_var: float
+    var_tolerance: float
     var_ok: bool
     ks_statistic: float
     ks_critical: float

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,21 +32,20 @@ V_GRID_HI = 1e4
 V_GRID_NODES = 2049
 
 
-def _grid_file_hyper(spec, v):
-    table = read_density(spec.path)
-    return _interp_within(table.nodes, table.log_values, v, "grid-file hyperprior")
-
-
 # hyperprior kind -> log density in v (spec, v array), up to a constant;
 # flat-in-a is flat in v as well (the Jacobian of v = m*a is constant)
 _LOG_HYPER_IN_V = {
     "pareto-v": lambda spec, v: -2.0 * np.log1p(v),
     "flat-in-a": lambda spec, v: np.zeros_like(v),
     "flat-in-log-a": lambda spec, v: -np.log(v),
-    "grid-file": _grid_file_hyper,
+    "grid-file": lambda spec, v: _interp_within(
+        spec._table.nodes, spec._table.log_values, v, "grid-file hyperprior"),
 }
 HYPER_KINDS = tuple(_LOG_HYPER_IN_V)
 
+# each tail of the 95 % cell intervals: (1 - 0.95) / 2 in floating point is
+# 0.025000000000000022, and the printed interval endpoints carry those digits
+_TAIL = (1.0 - 0.95) / 2.0
 # where the cell interval is bracketed: the smallest normal double, log10 x
 # at -30, -3 and -0.3, and the largest double below 1
 _BRACKET_X = np.array([sys.float_info.min, 1e-30, 1e-3, 0.5, np.nextafter(1.0, 0.0), 1.0])
@@ -149,12 +148,13 @@ class HyperPriorSpec:
         a tabulated density over v that must cover the v-grid.
     a_max: optional domain truncation; the v-grid then stops at m*a_max
         and the support is declared bounded.
-    path: density file for kind "grid-file".
+    path: density file for kind "grid-file", read once, on construction.
     """
 
     kind: str
     a_max: float = None
     path: str = None
+    _table: GridDensity = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in HYPER_KINDS:
@@ -163,12 +163,13 @@ class HyperPriorSpec:
             )
         if self.a_max is not None and not (self.a_max > 0):
             raise InputError("a_max must be positive when given")
-        if self.kind == "grid-file" and not self.path:
-            raise InputError("grid-file hyperprior needs a path")
+        if self.kind == "grid-file":
+            if not self.path:
+                raise InputError("grid-file hyperprior needs a path")
+            object.__setattr__(self, "_table", read_density(self.path))
 
 
-def _v_grid_density(data: CountVector, hyper: HyperPriorSpec,
-                    grid_spec=None) -> GridDensity:
+def _v_grid_density(data: CountVector, hyper: HyperPriorSpec) -> GridDensity:
     """Unnormalized v-posterior kernel on the standard v-grid.
 
     Untruncated hyperpriors live on the open half-line (0, inf) with the
@@ -176,9 +177,6 @@ def _v_grid_density(data: CountVector, hyper: HyperPriorSpec,
     tail exponent rather than hidden by the node range. An a_max
     truncation declares a bounded support instead.
     """
-    lo, hi, n = V_GRID_LO, V_GRID_HI, V_GRID_NODES
-    if grid_spec is not None:
-        lo, hi, n = float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2])
     m = data.m
 
     def lp(v):
@@ -186,9 +184,10 @@ def _v_grid_density(data: CountVector, hyper: HyperPriorSpec,
 
     if hyper.a_max is not None:
         v_hi = m * hyper.a_max
-        nodes = np.geomspace(lo, v_hi * (1.0 - 1e-10), n)
+        nodes = np.geomspace(V_GRID_LO, v_hi * (1.0 - 1e-10), V_GRID_NODES)
         return GridDensity(0.0, v_hi, nodes, lp(nodes))
-    return dens.halfline_density(lp, scale=1.0, n=n, lo_frac=lo, hi_frac=hi)
+    return dens.halfline_density(lp, scale=1.0, n=V_GRID_NODES,
+                                 lo_frac=V_GRID_LO, hi_frac=V_GRID_HI)
 
 
 @dataclass(frozen=True)
@@ -208,13 +207,13 @@ class VPosterior:
 
 
 def v_posterior(data: CountVector, hyper: HyperPriorSpec,
-                grid_spec=None, tolerance: float = DEFAULT_TOL) -> VPosterior:
+                tolerance: float = DEFAULT_TOL) -> VPosterior:
     """Posterior of v given the counts under the chosen hyperprior.
 
     An improper posterior (diverging normalizer) is a reported finding:
     the raw kernel comes back with proper=False and no summaries.
     """
-    kernel = _v_grid_density(data, hyper, grid_spec)
+    kernel = _v_grid_density(data, hyper)
     res = integrate(kernel, tolerance)
     if res.diverged or not (res.value > 0) or not res.converged:
         note = res.detail or "mass estimate did not converge"
@@ -237,6 +236,10 @@ def v_posterior(data: CountVector, hyper: HyperPriorSpec,
 
 SUMMARY_COLUMNS = ("m", "n", "r0", "hyperprior", "proper",
                    "mode_v", "median_v", "mean_v", "q05_v", "q95_v")
+COMPARE_COLUMNS = ("cell", "count",
+                   "jeffreys_mean", "jeffreys_lo", "jeffreys_hi",
+                   "conditional_mean", "conditional_lo", "conditional_hi",
+                   "hierarchical_mean", "hierarchical_lo", "hierarchical_hi")
 
 
 def v_summary_row(data: CountVector, hyper: HyperPriorSpec,
@@ -263,9 +266,9 @@ def v_summary_table(configs, hyper: HyperPriorSpec,
         return list(pool.map(lambda d: v_summary_row(d, hyper, tolerance), data))
 
 
-def _beta_mean_interval(a: float, b: float, level: float = 0.95):
-    lo = _betaincinv(a, b, (1.0 - level) / 2.0)
-    hi = _betaincinv(a, b, 1.0 - (1.0 - level) / 2.0)
+def _beta_mean_interval(a: float, b: float):
+    lo = _betaincinv(a, b, _TAIL)
+    hi = _betaincinv(a, b, 1.0 - _TAIL)
     return a / (a + b), float(lo), float(hi)
 
 
@@ -276,8 +279,8 @@ def _expectation(posterior: GridDensity, values, tolerance: float) -> float:
 
 
 def _hier_cell_interval(data: CountVector, cell_count: int,
-                        posterior: GridDensity, level: float = 0.95):
-    """Central interval of the mixture-of-Beta cell posterior.
+                        posterior: GridDensity):
+    """Central 95 % interval of the mixture-of-Beta cell posterior.
 
     Trapezoid weights w_k of the v-posterior give the mixture CDF
     F(x) = sum_k w_k BetaCDF(x; a_k, b_k), a_k = n_i + v_k/m, b_k = n + v_k - a_k.
@@ -332,14 +335,14 @@ def _hier_cell_interval(data: CountVector, cell_count: int,
                 return x
         return hi
 
-    tail = (1.0 - level) / 2.0
-    return invert(tail), invert(1.0 - tail)
+    return invert(_TAIL), invert(1.0 - _TAIL)
 
 
 def compare_priors(data: CountVector, hyper: HyperPriorSpec,
                    a_point: float = None,
                    tolerance: float = DEFAULT_TOL) -> list:
-    """Cell-probability summaries under three priors, as table rows.
+    """Cell-probability summaries under three priors, as table rows
+    (keys COMPARE_COLUMNS).
 
     One representative occupied cell and one empty cell (when present)
     are summarized under (i) the reference posterior a = 1/2, (ii) the
@@ -365,23 +368,20 @@ def compare_priors(data: CountVector, hyper: HyperPriorSpec,
     rows = []
     for kind, idx in cells:
         c = int(counts[idx])
-        summaries = {
-            "jeffreys": _beta_mean_interval(
-                *cell_posterior_marginal(jeffreys_posterior(data), idx)),
-            "conditional": _beta_mean_interval(
-                *cell_posterior_marginal(counts.astype(float) + a_point, idx)),
-            "hierarchical": (None, None, None),
-        }
+        jeffreys = _beta_mean_interval(
+            *cell_posterior_marginal(jeffreys_posterior(data), idx))
+        conditional = _beta_mean_interval(
+            *cell_posterior_marginal(counts.astype(float) + a_point, idx))
+        hierarchical = (None, None, None)
         if vp.proper:
             # E[(n_i + a)/(n + v)] over the v-posterior, with a = v/m
             v = vp.density.nodes
-            summaries["hierarchical"] = (
+            hierarchical = (
                 _expectation(vp.density, (c + v / data.m) / (data.n + v), tolerance),
                 *_hier_cell_interval(data, c, vp.density))
-        row = {"cell": kind, "count": c}
-        for name, (mean, lo, hi) in summaries.items():
-            row.update({f"{name}_mean": mean, f"{name}_lo": lo, f"{name}_hi": hi})
-        rows.append(row)
+        rows.append(dict(zip(COMPARE_COLUMNS,
+                             (kind, c, *jeffreys, *conditional, *hierarchical),
+                             strict=True)))
     return rows
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from prior_forge import (GridDensity, InputError, beta_density, bounded_nodes,
-                         gamma_density, improper_flat, log_interp,
-                         normal_density, read_density, write_density)
+                         gamma_density, improper_flat, normal_density,
+                         read_density, write_density)
 from prior_forge.density import halfline_density, realline_density
 from prior_forge.util import sorted_quantile
 
@@ -154,14 +154,6 @@ def test_reader_skips_extra_comment_lines(tmp_path):
     write_density(d, path, extra_header=["config: seed=0", "anything"])
     back = read_density(path)
     np.testing.assert_array_equal(back.nodes, d.nodes)
-
-
-def test_log_interp_inside_and_outside_range():
-    d = beta_density(2.0, 2.0)
-    mid = log_interp(d, 0.5)
-    assert abs(float(mid) - math.log(1.5)) < 1e-6
-    assert log_interp(d, -0.5) == -math.inf
-    assert log_interp(d, 1.5) == -math.inf
 
 
 def test_improper_flat_variants():

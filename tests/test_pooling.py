@@ -204,13 +204,6 @@ def test_verify_pool_optimality_margins_nonnegative():
     assert np.all(rep.epsilons >= 0.01) and np.all(rep.epsilons <= 0.5)
 
 
-def test_verify_pool_optimality_zero_epsilon_gives_zero_margin():
-    prob = PoolProblem((beta_density(2.0, 2.0),), PoolWeights((1.0,)))
-    rep = verify_pool_optimality(prob, 5, RandomStream(9, 1),
-                                 epsilon_range=(0.0, 0.0))
-    np.testing.assert_array_equal(rep.margins, np.zeros(5))
-
-
 def test_verify_pool_optimality_thread_count_invariance(monkeypatch):
     a = beta_density(0.5, 0.5)
     b = beta_density(1.5, 2.5)
@@ -235,5 +228,3 @@ def test_verify_pool_optimality_argument_validation():
     prob = PoolProblem((beta_density(2.0, 2.0),), PoolWeights((1.0,)))
     with pytest.raises(InputError):
         verify_pool_optimality(prob, 0, RandomStream(0, 0))
-    with pytest.raises(InputError):
-        verify_pool_optimality(prob, 5, RandomStream(0, 0), epsilon_range=(0.5, 0.1))

@@ -76,6 +76,20 @@ def test_tabulated_likelihood_must_cover_the_grid():
     assert np.array_equal(lik.log_on(inside), np.zeros(7))
 
 
+def test_tabulated_likelihoods_compare_and_hash_by_value():
+    x, lv = np.array([0.5, 1.0, 3.0]), np.array([0.0, -1.0, -math.inf])
+    a = tabulated_likelihood(x, lv, 0.0, math.inf)
+    b = tabulated_likelihood(x.copy(), lv.copy(), 0.0, math.inf)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, poisson_counts([1, 2])}) == 2
+    for other in (tabulated_likelihood(x, lv + 1.0, 0.0, math.inf),
+                  tabulated_likelihood(x * 2.0, lv, 0.0, math.inf),
+                  tabulated_likelihood(x, lv, 0.25, math.inf)):
+        assert a != other
+    theta = np.linspace(0.5, 3.0, 11)
+    assert a.log_on(theta).tobytes() == np.interp(theta, x, lv).tobytes()
+
+
 def test_holder_flat_vs_tilt_closed_form():
     # mu flat, nu = exp(theta): the blended posterior mass is
     # sqrt(2*pi) * exp((1-alpha)^2 / 2) for a single observation at zero

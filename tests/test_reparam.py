@@ -4,50 +4,33 @@ import numpy as np
 import pytest
 
 from prior_forge.errors import InputError
-from prior_forge.reparam import (dirichlet_equivalence_report,
-                                 gamma_normalize_sample,
-                                 ordered_prior_diagnostics, stick_break)
+from prior_forge.reparam import (_normalized_gamma, _stick_break_rows,
+                                 dirichlet_equivalence_report,
+                                 ordered_prior_diagnostics)
 from prior_forge.streams import RandomStream
 from prior_forge.util import median
 
 
 def test_stick_break_worked_example():
-    theta = stick_break((0.5, 0.5))
+    theta = _stick_break_rows(np.array([[0.5, 0.5]]))[0]
     np.testing.assert_allclose(theta, [0.5, 0.25, 0.25], atol=0)
     assert theta.sum() == 1.0
 
 
 def test_stick_break_general_values():
-    xi = (0.2, 0.6, 0.3)
-    theta = stick_break(xi)
-    want = [0.2, 0.8 * 0.6, 0.8 * 0.4 * 0.3, 0.8 * 0.4 * 0.7]
+    xi = np.array([[0.2, 0.6, 0.3], [0.5, 0.5, 0.5]])
+    theta = _stick_break_rows(xi)
+    want = [[0.2, 0.8 * 0.6, 0.8 * 0.4 * 0.3, 0.8 * 0.4 * 0.7],
+            [0.5, 0.25, 0.125, 0.125]]
     np.testing.assert_allclose(theta, want, rtol=1e-15)
-    assert theta.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_stick_break_domain_errors():
-    for bad in ((0.0, 0.5), (0.5, 1.0), (-0.1,), (math.nan, 0.5), ()):
-        with pytest.raises(InputError):
-            stick_break(bad)
+    np.testing.assert_allclose(theta.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_gamma_normalize_rows_are_probability_vectors():
-    w = gamma_normalize_sample(0.5, 2.0, 5, 1000, RandomStream(1, 0))
+    w = _normalized_gamma(RandomStream(1, 0).generator(), 0.5, (1000, 5), 2.0)
     assert w.shape == (1000, 5)
     assert np.all(w > 0)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_gamma_normalize_validation():
-    s = RandomStream(0, 0)
-    with pytest.raises(InputError):
-        gamma_normalize_sample(0.0, 1.0, 3, 10, s)
-    with pytest.raises(InputError):
-        gamma_normalize_sample(1.0, 0.0, 3, 10, s)
-    with pytest.raises(InputError):
-        gamma_normalize_sample(1.0, 1.0, 1, 10, s)
-    with pytest.raises(InputError):
-        gamma_normalize_sample(1.0, 1.0, 3, 0, s)
 
 
 def test_equivalence_report_passes_for_symmetric_dirichlet():

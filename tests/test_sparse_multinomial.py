@@ -188,6 +188,21 @@ def test_grid_file_hyperprior_must_cover_the_v_grid(tmp_path):
         v_posterior(data, HyperPriorSpec("grid-file", path=str(path)))
 
 
+def test_grid_file_hyperprior_is_read_once_per_spec(tmp_path, monkeypatch):
+    path = tmp_path / "hyper.csv"
+    _pareto_table(path, 1e-5, 1e5, 513)
+    reads, read = [], smn.read_density
+
+    def counting_read(p):
+        reads.append(p)
+        return read(p)
+
+    monkeypatch.setattr(smn, "read_density", counting_read)
+    hyper = HyperPriorSpec("grid-file", path=str(path))
+    rows = v_summary_table([(1000, 3, r0) for r0 in (1, 2, 3)], hyper)
+    assert len(rows) == 3 and reads == [str(path)]
+
+
 @pytest.mark.parametrize("kind, closed_form", [
     ("pareto-v", lambda v, table: -2.0 * np.log1p(v)),
     ("flat-in-a", lambda v, table: np.zeros_like(v)),
@@ -239,6 +254,7 @@ def test_compare_priors_exact_conjugate_columns():
     # are (c + 1/2)/(m/2 + n); at a = 1/m they are (c + 0.001)/(1 + n)
     data = canonical_counts(1000, 3, 3)
     rows = compare_priors(data, HyperPriorSpec("pareto-v"))
+    assert [tuple(r) for r in rows] == [smn.COMPARE_COLUMNS] * 2
     by = {r["cell"]: r for r in rows}
     obs, uno = by["observed"], by["unobserved"]
     assert obs["count"] == 1 and uno["count"] == 0
