@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,8 +97,7 @@ class GridDensity:
             raise InputError("grid nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise InputError("grid nodes must be strictly increasing")
-        if np.any(np.isnan(lv)) or np.any(lv == np.inf):
-            raise InputError("log_values must not contain NaN or +inf")
+        _check_log_values(lv)
         lo, hi = float(self.domain_lo), float(self.domain_hi)
         if not lo < hi:
             raise InputError("domain_lo must be less than domain_hi")
@@ -147,15 +146,31 @@ class GridDensity:
         )
 
     def with_log_values(self, log_values, *, normalized=False, note="") -> "GridDensity":
-        """New density on the same grid and map with replaced log values."""
-        return replace(self, log_values=log_values, normalized=normalized,
-                       note=note)
+        """New density on the same grid and map with replaced log values.
+
+        Only the new log values are checked: the grid, its map and the rule
+        slot are this density's, already validated and write-protected.
+        """
+        lv = np.asarray(log_values, dtype=float)
+        if lv.ndim != 1 or len(lv) != len(self.nodes):
+            raise InputError("nodes and log_values must be 1-D arrays of equal length")
+        _check_log_values(lv)
+        lv.setflags(write=False)
+        derived = object.__new__(GridDensity)
+        derived.__dict__.update(self.__dict__, log_values=lv, normalized=normalized,
+                                note=note)
+        return derived
 
     def shifted(self, offset: float, *, normalized=False, note="") -> "GridDensity":
         """New density with a constant added to the log values."""
         return self.with_log_values(
             self.log_values + float(offset), normalized=normalized, note=note
         )
+
+
+def _check_log_values(lv):
+    if np.any(np.isnan(lv)) or np.any(lv == np.inf):
+        raise InputError("log_values must not contain NaN or +inf")
 
 
 def _derive_map(nodes, lo, hi):

@@ -28,22 +28,24 @@ def _stick_break_rows(xi: np.ndarray) -> np.ndarray:
     zero against rounding).
     """
     count, mm1 = xi.shape
-    remaining = np.cumprod(1.0 - xi, axis=1)
+    remaining = np.subtract(1.0, xi)
+    np.cumprod(remaining, axis=1, out=remaining)
     theta = np.empty((count, mm1 + 1))
     theta[:, 0] = xi[:, 0]
-    if mm1 > 1:
-        theta[:, 1:mm1] = xi[:, 1:] * remaining[:, :-1]
+    np.multiply(xi[:, 1:], remaining[:, :-1], out=theta[:, 1:mm1])
     theta[:, mm1] = np.maximum(0.0, 1.0 - theta[:, :mm1].sum(axis=1))
     return theta
 
 
-def _normalized_gamma(rng: np.random.Generator, shape, size,
-                      scale: float) -> np.ndarray:
-    """Rows of independent Gamma(shape, scale) draws, each divided by its
-    sum. The scale multiplies the standard draws explicitly, so it cancels
-    up to rounding."""
-    g = rng.standard_gamma(shape, size=size) * scale
-    return g / g.sum(axis=1, keepdims=True)
+def _gamma_rows(rng: np.random.Generator, shape, size, scale: float):
+    """Rows of independent Gamma(shape, scale) draws, and the row sums.
+
+    A row divided by its sum is a Dirichlet(shape) vector. The scale
+    multiplies the standard draws explicitly, so it cancels up to rounding.
+    """
+    g = rng.standard_gamma(shape, size=size)
+    g *= scale
+    return g, g.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -120,17 +122,19 @@ def dirichlet_equivalence_report(a: float, m: int, count: int, betas,
     se_var = math.sqrt(
         max(mu4 - an_var ** 2 * (count - 3) / (count - 1), 0.0) / count
     )
-    ks_crit = float(_kolmogi(0.01)) / math.sqrt(count)
+    ks_crit = _kolmogi(0.01) / math.sqrt(count)
+    grid_hi = np.arange(1, count + 1) / count
+    grid_lo = np.arange(0, count) / count
 
     checks = []
     for j, b in enumerate(scales):
-        theta = _normalized_gamma(stream.substream(j), a, (count, m), b)
-        coord = np.sort(theta[:, 0])
+        # the first coordinate of each normalized row, and nothing else
+        g, totals = _gamma_rows(stream.substream(j), a, (count, m), b)
+        coord = np.sort(g[:, 0] / totals)
+        del g
         smean = float(coord.mean())
         svar = float(coord.var(ddof=1))
         cdf = _betainc(a, alpha_rest, coord)
-        grid_hi = np.arange(1, count + 1) / count
-        grid_lo = np.arange(0, count) / count
         ks = float(max(np.max(cdf - grid_lo), np.max(grid_hi - cdf)))
         checks.append(MarginalCheck(
             beta_scale=b,
@@ -147,13 +151,17 @@ def dirichlet_equivalence_report(a: float, m: int, count: int, betas,
             ks_ok=ks < ks_crit,
         ))
 
-    shared = stream.substream(len(scales)).standard_gamma(a, size=(count, m))
-    base = shared / shared.sum(axis=1, keepdims=True)
+    shared, totals = _gamma_rows(stream.substream(len(scales)), a, (count, m), 1.0)
+    base = shared / totals[:, None]
+    theta_b, row_sums = np.empty_like(shared), np.empty((count, 1))
     sup = 0.0
     for b in scales:
-        scaled = (shared * b)
-        theta_b = scaled / scaled.sum(axis=1, keepdims=True)
-        sup = max(sup, float(np.max(np.abs(theta_b - base))))
+        np.multiply(shared, b, out=theta_b)
+        np.sum(theta_b, axis=1, keepdims=True, out=row_sums)
+        np.divide(theta_b, row_sums, out=theta_b)
+        np.subtract(theta_b, base, out=theta_b)
+        np.abs(theta_b, out=theta_b)
+        sup = max(sup, float(theta_b.max()))
 
     all_ok = all(c.mean_ok and c.var_ok and c.ks_ok for c in checks)
     return EquivalenceReport(
@@ -207,9 +215,9 @@ def ordered_prior_diagnostics(m: int, count: int,
     xi = rng.beta(0.5, 0.5, size=(count, m - 1))
     # beta() can return exact 0.0 or 1.0 in rare underflow corners; nudge
     # into the open interval so the stick construction stays valid
-    tiny = np.finfo(float).tiny
-    xi = np.clip(xi, tiny, 1.0 - 2.2e-16)
+    np.clip(xi, np.finfo(float).tiny, 1.0 - 2.2e-16, out=xi)
     theta = _stick_break_rows(xi)
+    del xi
     means = theta.mean(axis=0)
     medians = median(theta, axis=0)
     analytic = np.array([2.0 ** -(k + 1) for k in range(m - 1)] + [2.0 ** -(m - 1)])

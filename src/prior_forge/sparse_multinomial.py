@@ -24,7 +24,7 @@ from .density import GridDensity, _interp_within, read_density
 from .errors import InputError, NumericalError
 from .quadrature import (DEFAULT_TOL, QuadratureResult, _normalized_by,
                          _trapezoid_masses, integrate, mode, quantile)
-from .special import _betainc, _betaincinv, _gammaln, log_beta
+from .special import _betainc, _gammaln, log_beta
 from .util import thread_cap
 
 V_GRID_LO = 1e-4
@@ -267,9 +267,9 @@ def v_summary_table(configs, hyper: HyperPriorSpec,
 
 
 def _beta_mean_interval(a: float, b: float):
-    lo = _betaincinv(a, b, _TAIL)
-    hi = _betaincinv(a, b, 1.0 - _TAIL)
-    return a / (a + b), float(lo), float(hi)
+    """Mean and central 95 % interval of Beta(a, b)."""
+    lo, hi = _mixture_interval(np.ones(1), np.array([a]), np.array([b]))
+    return a / (a + b), lo, hi
 
 
 def _expectation(posterior: GridDensity, values, tolerance: float) -> float:
@@ -284,11 +284,6 @@ def _hier_cell_interval(data: CountVector, cell_count: int,
 
     Trapezoid weights w_k of the v-posterior give the mixture CDF
     F(x) = sum_k w_k BetaCDF(x; a_k, b_k), a_k = n_i + v_k/m, b_k = n + v_k - a_k.
-    One broadcast incomplete beta over _BRACKET_X brackets both tails. Each
-    is refined by Newton steps in log x with Halley's correction, from the
-    closed-form mixture pdf; a step that leaves the bracket is replaced by
-    bisection (Brent 1973). A quantile that underflows is reported as the
-    smallest normal double, and one above the last double below 1 as 1.
     """
     cell = _trapezoid_masses(posterior)
     w = np.zeros(len(posterior.nodes))
@@ -300,9 +295,20 @@ def _hier_cell_interval(data: CountVector, cell_count: int,
     w = w / total
     v = posterior.nodes
     a = cell_count + v / data.m
-    b = data.n + v - a
+    return _mixture_interval(w, a, data.n + v - a)
+
+
+def _mixture_interval(w, a, b):
+    """The _TAIL and 1 - _TAIL quantiles of sum_k w_k Beta(a_k, b_k).
+
+    One broadcast incomplete beta over _BRACKET_X brackets both tails. Each
+    is refined by Newton steps in log x with Halley's correction, from the
+    closed-form mixture pdf; a step that leaves the bracket is replaced by
+    bisection (Brent 1973). A quantile that underflows is reported as the
+    smallest normal double, and one above the last double below 1 as 1.
+    """
     log_b = log_beta(a, b)
-    cdf = w @ _betainc(a[:, None], b[:, None], _BRACKET_X)
+    cdf = w @ _betainc(a[:, None], b[:, None], _BRACKET_X, log_b[:, None])
 
     def invert(q):
         j = int(np.searchsorted(cdf, q))
@@ -316,7 +322,7 @@ def _hier_cell_interval(data: CountVector, cell_count: int,
                 x = math.sqrt(lo) * math.sqrt(hi)
                 if not lo < x < hi:
                     return hi
-            f_x = float(w @ _betainc(a, b, x))
+            f_x = float(w @ _betainc(a, b, x, log_b))
             lo, hi = (x, hi) if f_x < q else (lo, x)
             # x times the mixture pdf, which is dF/d(log x), and its derivative
             terms = w * np.exp(a * math.log(x) + (b - 1.0) * math.log1p(-x) - log_b)

@@ -428,8 +428,8 @@ def test_output_bytes_do_not_depend_on_the_thread_count(tmp_path, capsys, monkey
 
 # Runs the README pool, holder and ordered-mn examples, a pool over a
 # real-line grid file, sparse-mn in each input mode under each hyperprior,
-# then compare, in one fresh interpreter. After the import and after each
-# job it reports whether scipy and numpy.ma are loaded.
+# then compare and poisson-equiv, in one fresh interpreter. After the import
+# and after each job it reports whether scipy and numpy.ma are loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import prior_forge
@@ -448,6 +448,7 @@ for hyper in ("pareto-v", "flat-in-a", "flat-in-log-a"):
              ["sparse-mn", "--counts", "2,1,0,0,0,0", "--hyperprior", hyper],
              ["sparse-mn", "--configs", "sweep.json", "--hyperprior", hyper]]
 jobs.append(["compare", "--m", "1000", "--n", "3", "--r0", "3", "--format", "json"])
+jobs.append(["poisson-equiv", "--a", "0.5", "--m", "4", "--count", "20000"])
 codes = []
 for job in jobs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -458,7 +459,7 @@ print(json.dumps({"codes": codes, "loaded": loaded, "masked": masked}))
 """
 
 
-def test_pool_holder_ordered_mn_and_sparse_mn_never_import_scipy(tmp_path):
+def test_no_subcommand_imports_scipy_or_numpy_ma(tmp_path):
     write_pool_spec(tmp_path, POOL_SPEC, [0.3, 0.7])
     # a real-line grid file carries no map, so reading it derives one
     write_density(normal_density(0.0, 1.0), tmp_path / "normal.csv")
@@ -474,11 +475,9 @@ def test_pool_holder_ordered_mn_and_sparse_mn_never_import_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0] * 14
-    # not loaded after the import, the pools, holder, ordered-mn and the
-    # nine sparse-mn jobs; loaded after compare, which needs scipy's
-    # incomplete beta
-    assert report["loaded"] == [False] * 14 + [True]
-    # numpy.ma (loaded by np.median, np.quantile and np.unique) stays out
-    # of all but compare, which is not checked
-    assert report["masked"][:14] == [False] * 14
+    assert report["codes"] == [0] * 15
+    # neither after the import nor after any job: the package computes its
+    # incomplete beta and Kolmogorov quantile in numpy, and numpy.ma
+    # (loaded by np.median, np.quantile and np.unique) stays out too
+    assert report["loaded"] == [False] * 16
+    assert report["masked"] == [False] * 16

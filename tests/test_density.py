@@ -94,6 +94,27 @@ def test_with_log_values_shares_grid_and_map():
     assert not b.normalized
 
 
+def test_with_log_values_validates_the_new_values_and_shares_the_rest():
+    a = normal_density(0.0, 1.0)
+    b = a.with_log_values(a.log_values - 1.0, normalized=True, note="shifted")
+    # the parent's validated arrays and rule slot, not copies of them
+    assert b.nodes is a.nodes and b.t_nodes is a.t_nodes
+    assert b.log_jacobian is a.log_jacobian and b._rule_slot is a._rule_slot
+    assert (b.normalized, b.note) == (True, "shifted")
+    assert not b.with_log_values(b.log_values).normalized
+    np.testing.assert_array_equal(b.log_values, a.log_values - 1.0)
+    with pytest.raises(ValueError):
+        b.log_values[0] = 0.0
+    n = len(a.nodes)
+    for bad in (np.zeros(n - 1), np.zeros((n, 1)), np.full(n, math.nan),
+                np.full(n, math.inf)):
+        with pytest.raises(InputError):
+            a.with_log_values(bad)
+    lv = np.zeros(n)
+    lv[-1] = -math.inf
+    assert a.with_log_values(lv).log_values[-1] == -math.inf
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     d = beta_density(0.5, 0.5)
     path = str(tmp_path / "beta.csv")

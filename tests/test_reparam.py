@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prior_forge.errors import InputError
-from prior_forge.reparam import (_normalized_gamma, _stick_break_rows,
+from prior_forge.reparam import (_gamma_rows, _stick_break_rows,
                                  dirichlet_equivalence_report,
                                  ordered_prior_diagnostics)
 from prior_forge.streams import RandomStream
@@ -27,7 +27,8 @@ def test_stick_break_general_values():
 
 
 def test_gamma_normalize_rows_are_probability_vectors():
-    w = _normalized_gamma(RandomStream(1, 0).generator(), 0.5, (1000, 5), 2.0)
+    g, totals = _gamma_rows(RandomStream(1, 0).generator(), 0.5, (1000, 5), 2.0)
+    w = g / totals[:, None]
     assert w.shape == (1000, 5)
     assert np.all(w > 0)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)

@@ -1,13 +1,14 @@
-"""The normalized-gamma sampler behind dirichlet_equivalence_report."""
+"""The gamma rows behind dirichlet_equivalence_report, normalized."""
 
 import numpy as np
 
-from prior_forge.reparam import _normalized_gamma
+from prior_forge.reparam import _gamma_rows
 from prior_forge.streams import RandomStream
 
 
 def _draw(stream, shape, count, scale=1.0):
-    return _normalized_gamma(stream.generator(), shape, (count, np.size(shape)), scale)
+    g, totals = _gamma_rows(stream.generator(), shape, (count, np.size(shape)), scale)
+    return g / totals[:, None]
 
 
 def test_gamma_scale_acts_linearly():

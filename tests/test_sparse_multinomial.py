@@ -341,12 +341,35 @@ def test_hierarchical_interval_matches_the_bisection(m, n, r0):
                 assert abs(x - ref) <= 1e-12, (q, x, ref)
 
 
+@pytest.mark.parametrize("a,b", [(0.5, 503.5), (1.001, 3.0), (2.5, 0.5), (0.001, 3.999),
+                                 (40.0, 60.0)])
+def test_single_beta_interval_inverts_the_cdf(a, b):
+    # the Jeffreys and conditional columns use the mixture inverter with one
+    # component; each endpoint returns its tail probability
+    mean, lo, hi = smn._beta_mean_interval(a, b)
+    assert mean == a / (a + b)
+    for x, q in ((lo, smn._TAIL), (hi, 1.0 - smn._TAIL)):
+        if x == sys.float_info.min:
+            # the quantile underflows: the smallest normal double already
+            # holds more than the tail
+            assert betainc(a, b, x) >= q
+        else:
+            # a CDF error of 1 ulp moves a quantile by about 1/a ulp
+            assert abs(betainc(a, b, x) - q) <= 1e-14 * q / min(a, 1.0), (q, x)
+
+
+def test_underflowing_lower_tail_is_the_smallest_normal_double():
+    # Beta(0.001, 3.999), the unobserved cell of the README compare at
+    # a = 1/m: its 2.5 % quantile is near 10^-1600
+    assert smn._beta_mean_interval(0.001, 3.999)[1] == sys.float_info.min
+
+
 def test_compare_interval_evaluates_few_incomplete_betas(monkeypatch):
     # the 80-step bisection evaluated 655,680 incomplete-beta elements here
     betainc_kernel, evaluated = smn._betainc, []
 
-    def counting(a, b, x):
-        out = betainc_kernel(a, b, x)
+    def counting(*args):
+        out = betainc_kernel(*args)
         evaluated.append(np.size(out))
         return out
 

@@ -245,6 +245,15 @@ def _jobs() -> list:
     add("bad-poisson-equiv-betas", "poisson-equiv", "--a", "0.5", "--m", "3",
         "--count", "100", "--betas", "1,-2")
     add("bad-ordered-mn-m", "ordered-mn", "--m", "1", "--count", "100")
+
+    # the extremes of the incomplete beta and its inverse: KS shapes from
+    # 0.05 to 995, and compare mixtures whose lower tails underflow and whose
+    # second shape reaches 1e4
+    add("poisson-equiv-small-a", "poisson-equiv", "--a", "0.05", "--m", "50")
+    add("poisson-equiv-large-b", "poisson-equiv", "--a", "5", "--m", "200")
+    sparse = ["--m", "10000", "--n", "10", "--r0", "1", "--format", "json"]
+    add("compare-sparse", "compare", *sparse)
+    add("compare-sparse-a-point", "compare", *sparse, "--a-point", "1e-4")
     return jobs
 
 
