@@ -6,6 +6,10 @@ effective configuration (defaults included) is echoed into the output
 header so results are self-describing. Output files are written
 atomically. Exit codes: 0 success (improper or inconclusive findings are
 still success), 1 invalid input, 2 numerical failure.
+
+Each handler imports the modules it runs, so a call loads only what its
+subcommand needs: poisson-equiv and ordered-mn, for instance, never load
+the quadrature stack.
 """
 
 from __future__ import annotations
@@ -18,23 +22,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import density as dens
-from .density import header_line, read_density, write_density
 from .errors import InputError, NumericalError, PriorForgeError
-from .likelihoods import (binomial_counts, multinomial_counts,
-                          normal_location, poisson_counts,
-                          tabulated_likelihood)
-from .pooling import (PoolProblem, PoolWeights, arithmetic_pool,
-                      equal_weights, geometric_pool)
-from .propriety import holder_check
-from .reparam import (MarginalCheck, OrderedCellRow,
-                      dirichlet_equivalence_report, ordered_prior_diagnostics)
-from .sparse_multinomial import (COMPARE_COLUMNS, HYPER_KINDS,
-                                 SUMMARY_COLUMNS, CountVector,
-                                 HyperPriorSpec, canonical_counts,
-                                 compare_priors, v_summary_row,
-                                 v_summary_table)
-from .streams import RandomStream
 from .util import fmt_value, write_text_atomic
 
 
@@ -131,6 +119,8 @@ def _build_components(specs: list) -> list:
     default grid for the common domain type is built once and every
     analytic family is tabulated on it.
     """
+    from . import density as dens
+
     files = []
     recipes = []
     for i, spec in enumerate(specs):
@@ -156,7 +146,7 @@ def _build_components(specs: list) -> list:
             path = params.get("path")
             if not path:
                 raise InputError(f"{label}: grid-file needs a path")
-            files.append((read_density(path), label))
+            files.append((dens.read_density(path), label))
             recipes.append(None)
             continue
         values = {key: _spec_float(params, key, label, default)
@@ -183,14 +173,32 @@ def _build_components(specs: list) -> list:
             for r in recipes]
 
 
+def _normal_from_data(data: str):
+    from .likelihoods import normal_location
+    return normal_location([float(v) for v in data.split(",")])
+
+
 def _binomial_from_data(data: str):
+    from .likelihoods import binomial_counts
     parts = data.split(",")
     if len(parts) != 2:
         raise InputError("binomial data must be 'successes,trials'")
     return binomial_counts(int(parts[0]), int(parts[1]))
 
 
+def _poisson_from_data(data: str):
+    from .likelihoods import poisson_counts
+    return poisson_counts([int(v) for v in data.split(",")])
+
+
+def _multinomial_from_data(data: str):
+    from .likelihoods import multinomial_counts
+    return multinomial_counts([int(v) for v in data.split(",")])
+
+
 def _tabulated_from_file(path: str):
+    from .density import read_density
+    from .likelihoods import tabulated_likelihood
     table = read_density(path)
     return tabulated_likelihood(table.nodes, table.log_values,
                                 table.domain_lo, table.domain_hi)
@@ -198,10 +206,10 @@ def _tabulated_from_file(path: str):
 
 # --likelihood name -> constructor from the --data string
 _LIKELIHOODS = {
-    "normal": lambda data: normal_location([float(v) for v in data.split(",")]),
+    "normal": _normal_from_data,
     "binomial": _binomial_from_data,
-    "poisson": lambda data: poisson_counts([int(v) for v in data.split(",")]),
-    "multinomial": lambda data: multinomial_counts([int(v) for v in data.split(",")]),
+    "poisson": _poisson_from_data,
+    "multinomial": _multinomial_from_data,
     "grid-file": _tabulated_from_file,
 }
 
@@ -217,7 +225,8 @@ def _input_name(path):
     return os.path.basename(path) if path else path
 
 
-def _hyper_from_args(args) -> HyperPriorSpec:
+def _hyper_from_args(args):
+    from .sparse_multinomial import HyperPriorSpec
     return HyperPriorSpec(
         kind=args.hyperprior,
         a_max=args.a_max,
@@ -225,7 +234,8 @@ def _hyper_from_args(args) -> HyperPriorSpec:
     )
 
 
-def _counts_from_args(args) -> CountVector:
+def _counts_from_args(args):
+    from .sparse_multinomial import CountVector, canonical_counts
     if getattr(args, "counts", None):
         return CountVector(tuple(int(v) for v in args.counts.split(",")))
     missing = [name for name in ("m", "n", "r0") if getattr(args, name) is None]
@@ -242,6 +252,10 @@ def _counts_from_args(args) -> CountVector:
 
 
 def _cmd_pool(args) -> int:
+    from .density import header_line, write_density
+    from .pooling import (PoolProblem, PoolWeights, arithmetic_pool,
+                          equal_weights, geometric_pool)
+
     with open(args.spec) as fh:
         spec = json.load(fh)
     if not isinstance(spec, dict) or not isinstance(spec.get("components"), list) \
@@ -289,6 +303,8 @@ def _cmd_pool(args) -> int:
 
 
 def _cmd_holder(args) -> int:
+    from .propriety import holder_check
+
     components = _build_components([args.mu, args.nu])
     likelihood = _LIKELIHOODS[args.likelihood](args.data)
     report = holder_check(components[0], components[1], args.alpha,
@@ -330,6 +346,9 @@ def _read_configs(path: str) -> list:
 
 
 def _cmd_sparse_mn(args) -> int:
+    from .sparse_multinomial import (SUMMARY_COLUMNS, v_summary_row,
+                                     v_summary_table)
+
     hyper = _hyper_from_args(args)
     if args.configs:
         rows = v_summary_table(_read_configs(args.configs), hyper,
@@ -346,6 +365,8 @@ def _cmd_sparse_mn(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .sparse_multinomial import COMPARE_COLUMNS, compare_priors
+
     data = _counts_from_args(args)
     hyper = _hyper_from_args(args)
     a_point = args.a_point if args.a_point is not None else 1.0 / data.m
@@ -358,6 +379,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_poisson_equiv(args) -> int:
+    from .reparam import MarginalCheck, dirichlet_equivalence_report
+    from .streams import RandomStream
+
     betas = [float(v) for v in args.betas.split(",")]
     stream = RandomStream(args.seed, 0)
     report = dirichlet_equivalence_report(args.a, args.m, args.count, betas,
@@ -373,6 +397,9 @@ def _cmd_poisson_equiv(args) -> int:
 
 
 def _cmd_ordered_mn(args) -> int:
+    from .reparam import OrderedCellRow, ordered_prior_diagnostics
+    from .streams import RandomStream
+
     stream = RandomStream(args.seed, 0)
     report = ordered_prior_diagnostics(args.m, args.count, stream)
     config = _effective_config(args, "ordered-mn", {
@@ -388,7 +415,11 @@ def _cmd_ordered_mn(args) -> int:
 # parser assembly
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command=None) -> _Parser:
+    """The CLI parser. The arguments of sparse-mn and compare are added only
+    when command is that subcommand or None: their --hyperprior choices are
+    sparse_multinomial.HYPER_KINDS, and no other subcommand imports that
+    module."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="master seed for all randomized work (default 0)")
@@ -422,6 +453,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_holder)
 
     def add_count_args(p, with_configs):
+        from .sparse_multinomial import HYPER_KINDS
+
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--r0", type=int, default=None)
@@ -437,15 +470,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sparse-mn", parents=[common],
                        help="v-posterior summaries for sparse count tables")
-    add_count_args(p, with_configs=True)
+    if command in (None, "sparse-mn"):
+        add_count_args(p, with_configs=True)
     p.set_defaults(handler=_cmd_sparse_mn)
 
     p = sub.add_parser("compare", parents=[common],
                        help="cell-probability table: reference, fixed-a, hierarchical")
-    add_count_args(p, with_configs=False)
-    p.add_argument("--a-point", type=float, default=None, dest="a_point",
-                   help="fixed concentration for the conditional column "
-                        "(default 1/m)")
+    if command in (None, "compare"):
+        add_count_args(p, with_configs=False)
+        p.add_argument("--a-point", type=float, default=None, dest="a_point",
+                       help="fixed concentration for the conditional column "
+                            "(default 1/m)")
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("poisson-equiv", parents=[common],
@@ -466,7 +501,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first argument that does not start with "-" as the
+    # subcommand, as the main parser has no option but --help; "" names none
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -303,9 +303,12 @@ def _mixture_interval(w, a, b):
 
     One broadcast incomplete beta over _BRACKET_X brackets both tails. Each
     is refined by Newton steps in log x with Halley's correction, from the
-    closed-form mixture pdf; a step that leaves the bracket is replaced by
-    bisection (Brent 1973). A quantile that underflows is reported as the
-    smallest normal double, and one above the last double below 1 as 1.
+    closed-form mixture pdf. A step that leaves the bracket, or that is not
+    shorter than half the step before last, is replaced by bisection (Brent
+    1973), so Newton steps creeping over a CDF that is flat far from the
+    quantile cannot stall the search. A quantile that underflows is
+    reported as the smallest normal double, and one above the last double
+    below 1 as 1.
     """
     log_b = log_beta(a, b)
     cdf = w @ _betainc(a[:, None], b[:, None], _BRACKET_X, log_b[:, None])
@@ -316,12 +319,16 @@ def _mixture_interval(w, a, b):
             return sys.float_info.min
         lo, hi = float(_BRACKET_X[j - 1]), float(_BRACKET_X[j])
         x = hi
+        # the last two steps in log x; a bisection counts as the bracket's
+        # half-width
+        step = step_before = math.inf
         for _ in range(100):
             if not lo < x < hi:
                 # bisect in log x; two adjacent doubles leave no midpoint
                 x = math.sqrt(lo) * math.sqrt(hi)
                 if not lo < x < hi:
                     return hi
+                step, step_before = 0.5 * math.log(hi / lo), step
             f_x = float(w @ _betainc(a, b, x, log_b))
             lo, hi = (x, hi) if f_x < q else (lo, x)
             # x times the mixture pdf, which is dF/d(log x), and its derivative
@@ -335,10 +342,16 @@ def _mixture_interval(w, a, b):
                 h, h1, h2 = f_x - q, g, dg
             denom = 2.0 * h1 * h1 - h * h2
             du = -2.0 * h * h1 / denom if denom > 0.0 else math.nan
-            x = x * math.exp(min(du, 700.0))
+            x_new = x * math.exp(min(du, 700.0))
             # Halley's step leaves an error of order du^3
-            if abs(du) <= 1e-6 and lo <= x <= hi:
-                return x
+            if abs(du) <= 1e-6 and lo <= x_new <= hi:
+                return x_new
+            if lo < x_new < hi and abs(du) <= 0.5 * step_before:
+                x, step, step_before = x_new, abs(du), step
+            else:
+                # bisect at the top of the loop: the step left the bracket,
+                # or it is not shorter than half the step before last
+                x = hi
         return hi
 
     return invert(_TAIL), invert(1.0 - _TAIL)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prior_forge
 from prior_forge.cli import main
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
                                  gamma_density, improper_flat, normal_density,
@@ -118,13 +119,14 @@ def test_holder_csv_headers(capsys):
 
 
 def test_holder_violation_exits_two(capsys, monkeypatch):
-    import prior_forge.cli as cli_mod
+    import prior_forge.propriety as propriety
     from prior_forge.errors import NumericalError
 
     def boom(*args, **kwargs):
         raise NumericalError("forced violation for the exit-code contract")
 
-    monkeypatch.setattr(cli_mod, "holder_check", boom)
+    # the holder handler imports holder_check when it runs
+    monkeypatch.setattr(propriety, "holder_check", boom)
     code, _, err = run(capsys, "holder", "--mu", "beta:a=0.5,b=0.5",
                        "--nu", "beta:a=2,b=1", "--alpha", "0.3",
                        "--likelihood", "binomial", "--data", "3,5")
@@ -426,6 +428,18 @@ def test_output_bytes_do_not_depend_on_the_thread_count(tmp_path, capsys, monkey
     assert outputs["1"] == outputs["4"]
 
 
+def _run_fresh(tmp_path, code):
+    """Stdout of code run in a fresh interpreter that imports this
+    checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 # Runs the README pool, holder and ordered-mn examples, a pool over a
 # real-line grid file, sparse-mn in each input mode under each hyperprior,
 # then compare and poisson-equiv, in one fresh interpreter. After the import
@@ -468,16 +482,47 @@ def test_no_subcommand_imports_scipy_or_numpy_ma(tmp_path):
                         {"family": "normal", "mean": 1.0, "sd": 2.0}]}))
     (tmp_path / "sweep.json").write_text(json.dumps(
         [{"m": 100, "n": 3, "r0": 1}, {"m": 1000, "n": 5, "r0": 2}]))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = json.loads(_run_fresh(tmp_path, _IMPORT_PROBE))
     assert report["codes"] == [0] * 15
     # neither after the import nor after any job: the package computes its
     # incomplete beta and Kolmogorov quantile in numpy, and numpy.ma
     # (loaded by np.median, np.quantile and np.unique) stays out too
     assert report["loaded"] == [False] * 16
     assert report["masked"] == [False] * 16
+
+
+def _fresh_modules(tmp_path, code):
+    """The module names loaded in a fresh interpreter after it runs code."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(_run_fresh(tmp_path, probe).splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    loaded = _fresh_modules(tmp_path, "import prior_forge")
+    assert "prior_forge" in loaded
+    assert not [m for m in loaded if m.startswith("prior_forge.")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["poisson-equiv", "--a", "0.5", "--m", "4", "--count", "2000", "--out", "out.csv"],
+    ["ordered-mn", "--m", "10", "--count", "2000", "--out", "out.csv"],
+])
+def test_sampling_subcommands_load_only_what_they_run(tmp_path, argv):
+    loaded = _fresh_modules(tmp_path, "from prior_forge.cli import main\n"
+                                      f"if main({argv!r}) != 0: raise SystemExit(1)")
+    assert "prior_forge.reparam" in loaded
+    unused = {f"prior_forge.{m}" for m in ("density", "quadrature", "pooling", "propriety",
+                                           "likelihoods", "sparse_multinomial")}
+    assert not sorted(loaded & (unused | {"concurrent.futures"}))
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from prior_forge import *", namespace)
+    assert set(prior_forge.__all__) <= set(namespace)
+    for name in prior_forge.__all__:
+        value = getattr(prior_forge, name)
+        assert namespace[name] is value
+        assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError):
+        prior_forge.no_such_name

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prior_forge.errors import InputError
-from prior_forge.reparam import (_gamma_rows, _stick_break_rows,
+from prior_forge.reparam import (_KS_BLOCK, _gamma_rows, _ks_statistic,
+                                 _stick_break_rows,
                                  dirichlet_equivalence_report,
                                  ordered_prior_diagnostics)
+from prior_forge.special import _betainc
 from prior_forge.streams import RandomStream
 from prior_forge.util import median
 
@@ -57,6 +61,30 @@ def test_equivalence_report_validation():
         dirichlet_equivalence_report(1.0, 3, 100, (), RandomStream(0, 0))
     with pytest.raises(InputError):
         dirichlet_equivalence_report(1.0, 3, 100, (1.0, -2.0), RandomStream(0, 0))
+    # one draw has no sample variance
+    for count in (1, 0):
+        with pytest.raises(InputError):
+            dirichlet_equivalence_report(1.0, 3, count, (1.0,), RandomStream(0, 0))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(log_a=st.floats(math.log(1e-3), math.log(50.0)),
+       m=st.integers(2, 200),
+       count=st.one_of(st.sampled_from([1, 2, _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1,
+                                        2 * _KS_BLOCK + 1, 20_000]),
+                       st.integers(1, 5000)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_bounded_ks_equals_the_full_evaluation(log_a, m, count, seed):
+    # bit for bit: the bound only decides where the kernel runs, and each
+    # point's CDF value does not depend on the points evaluated with it
+    a = math.exp(log_a)
+    g, totals = _gamma_rows(np.random.default_rng(seed), a, (count, m), 1.0)
+    with np.errstate(invalid="ignore"):
+        coord = np.sort(g[:, 0] / totals)  # 0/0 when every gamma underflows
+    cdf = _betainc(a, (m - 1) * a, coord)
+    full = float(max(np.max(cdf - np.arange(0, count) / count),
+                     np.max(np.arange(1, count + 1) / count - cdf)))
+    assert _ks_statistic(a, (m - 1) * a, coord) == full
 
 
 def test_ordered_diagnostics_small_m():

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,6 +357,40 @@ def test_single_beta_interval_inverts_the_cdf(a, b):
         else:
             # a CDF error of 1 ulp moves a quantile by about 1/a ulp
             assert abs(betainc(a, b, x) - q) <= 1e-14 * q / min(a, 1.0), (q, x)
+
+
+@pytest.mark.parametrize("a,b", [(5.5, 10004.5), (5.0, 1e4)])
+def test_interval_quantile_beyond_a_flat_bracket_midpoint(a, b):
+    # the 97.5 % quantile lies just above the bracket node 1e-3, and the CDF
+    # is flat at the bracket's geometric midpoint: Newton steps alone crept
+    # from there, ran out of steps and returned a point where F = 0.9996
+    # (Beta(5.5, 10004.5), the observed cell of compare --counts 5,5,0,...)
+    _, lo, hi = smn._beta_mean_interval(a, b)
+    for x, q in ((lo, smn._TAIL), (hi, 1.0 - smn._TAIL)):
+        with mpmath.workdps(40):
+            f = float(mpmath.betainc(a, b, 0, x, regularized=True))
+        assert abs(f - q) <= 1e-14, (q, x)
+
+
+def test_interval_inverter_evaluations_are_bounded(monkeypatch):
+    # a step that does not shrink to half the step before last is replaced
+    # by bisection, so no quantile runs into the 100-step cap, as Newton
+    # steps creeping over a flat CDF could
+    betainc_kernel, calls = smn._betainc, []
+
+    def counting(*args):
+        calls.append(1)
+        return betainc_kernel(*args)
+
+    monkeypatch.setattr(smn, "_betainc", counting)
+    worst = 0
+    for a in np.geomspace(1e-4, 1e3, 15):
+        for b in np.geomspace(1e-4, 2e4, 17):
+            calls.clear()
+            smn._beta_mean_interval(float(a), float(b))
+            worst = max(worst, len(calls))
+    # one bracket evaluation, then at most 40 per quantile
+    assert worst <= 1 + 2 * 40
 
 
 def test_underflowing_lower_tail_is_the_smallest_normal_double():

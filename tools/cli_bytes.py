@@ -254,6 +254,17 @@ def _jobs() -> list:
     sparse = ["--m", "10000", "--n", "10", "--r0", "1", "--format", "json"]
     add("compare-sparse", "compare", *sparse)
     add("compare-sparse-a-point", "compare", *sparse, "--a-point", "1e-4")
+
+    # the KS search in blocks of 64 sorted points: counts at the block edges,
+    # and a sample whose gammas underflow to NaN coordinates
+    for count in ("1", "63", "64", "65", "129"):
+        add(f"poisson-equiv-count-{count}", "poisson-equiv", "--a", "0.5", "--m", "4",
+            "--count", count)
+    add("poisson-equiv-tiny-a", "poisson-equiv", "--a", "0.001", "--m", "2")
+    # an interval quantile just above a bracket node, where the CDF is flat
+    # at the bracket's geometric midpoint: Beta(5.5, 10004.5)
+    add("compare-flat-tail", "compare", "--counts", ",".join(["5", "5"] + ["0"] * 19998),
+        "--format", "json")
     return jobs
 
 
