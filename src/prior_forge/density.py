@@ -8,16 +8,19 @@ node pattern near the mapped endpoints. Bounded supports use the identity
 map.
 
 Densities are immutable; transforms return new instances sharing the grid
-and its quadrature rule slot (see quadrature.QuadratureRule). The
-`normalized` flag certifies unit mass under this package's quadrature
-(see quadrature.normalize).
+and its quadrature rule slot (see quadrature.QuadratureRule); so do the
+densities of the default builders with equal layouts, whose grid is built
+once. The `normalized` flag certifies unit mass under this package's
+quadrature (see quadrature.normalize).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,9 +143,9 @@ class GridDensity:
         return (
             self.domain_lo == other.domain_lo
             and self.domain_hi == other.domain_hi
-            and len(self.nodes) == len(other.nodes)
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.t_nodes, other.t_nodes)
+            and (self.nodes is other.nodes or np.array_equal(self.nodes, other.nodes))
+            and (self.t_nodes is other.t_nodes
+                 or np.array_equal(self.t_nodes, other.t_nodes))
         )
 
     def with_log_values(self, log_values, *, normalized=False, note="") -> "GridDensity":
@@ -169,7 +172,7 @@ class GridDensity:
 
 
 def _check_log_values(lv):
-    if np.any(np.isnan(lv)) or np.any(lv == np.inf):
+    if not (lv < np.inf).all():  # false at NaN as well
         raise InputError("log_values must not contain NaN or +inf")
 
 
@@ -237,6 +240,30 @@ def bounded_nodes(lo: float, hi: float, n: int = 4097) -> np.ndarray:
     return np.concatenate([lo + left, core, hi - left[::-1]])
 
 
+# Template densities, one per recent layout key. Equal keys must give bit-equal
+# grids, and lru_cache counts -0.0 and 0.0 as one key: endpoints fold to 0.0.
+@lru_cache(maxsize=8)
+def _bounded_grid(lo, hi, n) -> GridDensity:
+    x = bounded_nodes(lo, hi, n)
+    return GridDensity(lo, hi, x, np.zeros_like(x))
+
+
+@lru_cache(maxsize=8)
+def _halfline_grid(scale, n, lo_frac, hi_frac, shift) -> GridDensity:
+    y = np.geomspace(lo_frac * scale, hi_frac * scale, n)
+    s, logjac = _halfline_map(y, scale)
+    return GridDensity(shift, math.inf, shift + y, np.zeros_like(y),
+                       t_nodes=s, t_lo=0.0, t_hi=1.0, log_jacobian=logjac)
+
+
+@lru_cache(maxsize=8)
+def _realline_grid(center, scale, n) -> GridDensity:
+    u = np.linspace(1e-10, 1.0 - 1e-10, n)
+    x = center + scale * np.tan(math.pi * (u - 0.5))
+    return GridDensity(-math.inf, math.inf, x, np.zeros_like(x), t_nodes=u,
+                       t_lo=0.0, t_hi=1.0, log_jacobian=_arctan_log_jacobian(u, scale))
+
+
 def halfline_density(log_pdf, scale: float = 1.0, n: int = 4097, *,
                      lo_frac: float = 1e-10, hi_frac: float = 1e4,
                      shift: float = 0.0, normalized: bool = False,
@@ -250,12 +277,9 @@ def halfline_density(log_pdf, scale: float = 1.0, n: int = 4097, *,
     """
     if scale <= 0:
         raise InputError("scale must be positive")
-    y = np.geomspace(lo_frac * scale, hi_frac * scale, n)
-    s, logjac = _halfline_map(y, scale)
-    x = shift + y
-    return GridDensity(shift, math.inf, x, log_pdf(x), normalized=normalized,
-                       t_nodes=s, t_lo=0.0, t_hi=1.0, log_jacobian=logjac,
-                       note=note)
+    grid = _halfline_grid(float(scale), operator.index(n), float(lo_frac),
+                          float(hi_frac), float(shift) + 0.0)
+    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized, note=note)
 
 
 def realline_density(log_pdf, center: float = 0.0, scale: float = 4.0,
@@ -268,18 +292,15 @@ def realline_density(log_pdf, center: float = 0.0, scale: float = 4.0,
     """
     if scale <= 0:
         raise InputError("scale must be positive")
-    u = np.linspace(1e-10, 1.0 - 1e-10, n)
-    x = center + scale * np.tan(math.pi * (u - 0.5))
-    return GridDensity(-math.inf, math.inf, x, log_pdf(x), normalized=normalized,
-                       t_nodes=u, t_lo=0.0, t_hi=1.0,
-                       log_jacobian=_arctan_log_jacobian(u, scale), note=note)
+    grid = _realline_grid(float(center), float(scale), operator.index(n))
+    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized, note=note)
 
 
 def bounded_density(log_pdf, lo: float, hi: float, n: int = 4097, *,
                     normalized: bool = False, note: str = "") -> GridDensity:
     """Density on a bounded support tabulated from a log-pdf callable."""
-    x = bounded_nodes(lo, hi, n)
-    return GridDensity(lo, hi, x, log_pdf(x), normalized=normalized, note=note)
+    grid = _bounded_grid(float(lo) + 0.0, float(hi) + 0.0, operator.index(n))
+    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized, note=note)
 
 
 # ---------------------------------------------------------------------------

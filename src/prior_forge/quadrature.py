@@ -22,15 +22,17 @@ to the integral's magnitude.
 Everything above that depends on the grid alone is a QuadratureRule: the
 cap extents, each cap's distances from its endpoint, the truncation-ladder
 windows, and the weights of every pass. The cubic weights come in closed
-form per cell and are summed to node weights, so each pass is one
-weighted sum of integrand values. The first integrate over a density
-stores the rule in the density's rule slot; with_log_values and
-dataclasses.replace pass the slot on, so every posterior, blend, pool and
-perturbation derived from one grid reuses its rule. An empty slot, as a
-density built from new nodes has, is filled from a small table of recent
-rules keyed by the exact node set, so every Beta density on the default
-grid shares one rule. Equal keys mean bit-equal nodes, so a shared rule
-gives the same bits as a freshly built one.
+form per cell and are summed to node weights. The two passes of each
+region (the bulk, each cap) are the rows of one weight matrix over its
+nodes, the half row zero between its nodes, so they are one product with
+the values of the integrand, which integrate exponentiates once. The
+first integrate over a density stores the rule in the density's rule
+slot; with_log_values and dataclasses.replace pass the slot on, so every
+posterior, blend, pool and perturbation derived from one grid reuses its
+rule, and the default builders share one slot per layout. An empty slot,
+as a density built from caller-supplied nodes has, is filled from a small
+table of recent rules keyed by the exact node set. Equal keys mean
+bit-equal nodes, so a shared rule gives the same bits as a fresh one.
 """
 
 from __future__ import annotations
@@ -161,31 +163,41 @@ def _cap_extent(d, span, max_cells, wide_ratio=0.1, frac=0.05):
     return int(np.argmin(in_cap)) if not in_cap.all() else len(in_cap)
 
 
+def _pass_weights(x, w_full, half):
+    """Both passes' weights at nodes x, shape (2, len(x)): w_full, then the
+    half-resolution pass through x[half], zero between its nodes."""
+    w = np.zeros((2, len(x)))
+    w[0], w[1, half] = w_full, _node_weights(x[half])
+    return w
+
+
+def _passes(w, g):
+    """Full and half-resolution integrals of values g: einsum's own loop,
+    not BLAS, whose bits can change with its thread count."""
+    full, half = np.einsum("ij,j->i", w, g)
+    return float(full), float(half)
+
+
 @dataclass(frozen=True)
 class _Cap:
-    """The nodes of one endpoint cap and the node weights of both its
-    passes.
+    """The nodes of one endpoint cap and the weights of both its passes.
 
     d: node distances from the endpoint, increasing, d[0] > 0.
-    half: indices of the half-resolution pass into d.
+    w: pass weights at d (see _pass_weights).
     """
 
     d: np.ndarray
     log_d: np.ndarray
     w: np.ndarray
-    half: np.ndarray
-    w_half: np.ndarray
 
     @classmethod
     def build(cls, d):
         d = np.array(d)  # not a view that would keep the whole grid alive
-        half = _decimate_idx(len(d))
-        return cls(d, np.log(d), _node_weights(d), half, _node_weights(d[half]))
+        return cls(d, np.log(d), _pass_weights(d, _node_weights(d), _decimate_idx(len(d))))
 
     def passes(self, g):
         """Full and half-resolution integrals of values g at the cap nodes."""
-        return (float(np.sum(self.w * g)),
-                float(np.sum(self.w_half * g[self.half])))
+        return _passes(self.w, g)
 
 
 @dataclass(frozen=True)
@@ -214,20 +226,16 @@ class QuadratureRule:
     rule slot every density on that node set shares.
 
     w_all: node weights of the full pass over every cell.
-    bulk_first / w_bulk: first node and node weights of the full pass
-        over the bulk cells between the endpoint caps.
-    bulk_half / w_bulk_half: nodes and node weights of the
-        half-resolution pass over the bulk.
+    bulk / w_bulk: the slice of nodes the stencils of the bulk cells
+        (between the caps) touch, and the pass weights there.
     lower / upper: the endpoint caps (None when empty).
     ladder_lo: the truncation ladder's windows at an offset lower endpoint
         (None when there are none).
     """
 
     w_all: np.ndarray
-    bulk_first: int
+    bulk: slice
     w_bulk: np.ndarray
-    bulk_half: np.ndarray
-    w_bulk_half: np.ndarray
     lower: _Cap
     upper: _Cap
     ladder_lo: _Ladder
@@ -248,13 +256,13 @@ class QuadratureRule:
                 m_hi -= 1
         w = _cell_weights(t)
         bulk_nodes, w_bulk, _ = _window_weights(w, [m_lo, ncell - m_hi])
-        bulk_half = m_lo + _decimate_idx(n - m_hi - m_lo)
+        bulk = slice(int(bulk_nodes[0]), int(bulk_nodes[-1]) + 1)
+        # the half pass's nodes m_lo .. n - 1 - m_hi lie in that slice
+        half = m_lo - bulk.start + _decimate_idx(n - m_hi - m_lo)
         return cls(
             w_all=_window_weights(w, [0, ncell])[1],
-            bulk_first=int(bulk_nodes[0]),
-            w_bulk=w_bulk,
-            bulk_half=bulk_half,
-            w_bulk_half=_node_weights(t[bulk_half]),
+            bulk=bulk,
+            w_bulk=_pass_weights(t[bulk], w_bulk, half),
             lower=_Cap.build(d_lo[: m_lo + 1]) if m_lo > 0 else None,
             upper=_Cap.build(d_hi[: m_hi + 1]) if m_hi > 0 else None,
             ladder_lo=_Ladder.build(w, _ladder_bounds(d_lo, d_lo[-1] / 8)),
@@ -292,15 +300,15 @@ def _rule_for_nodes(t_lo, t_hi, t_bytes) -> QuadratureRule:
     return QuadratureRule.build(np.frombuffer(t_bytes), t_lo, t_hi)
 
 
-def _cap_integral(cap, logg, tol, scale):
+def _cap_integral(cap, logg, g, tol, scale):
     """Integral over [0, d[-1]] from samples at the cap's distances d from
     an endpoint.
 
     d is increasing with d[0] > 0 (the grid offset); logg holds max-shifted
-    log integrand values. Returns (value, err, diverged, detail). The
-    fitted leading exponent p routes between three regimes: divergence
-    (p <= -0.999 with non-negligible projected mass), steep interior
-    growth (plain cubic, rectangle extension), and the general
+    log integrand values and g their exp. Returns (value, err, diverged,
+    detail). The fitted leading exponent p routes between three regimes:
+    divergence (p <= -0.999 with non-negligible projected mass), steep
+    interior growth (plain cubic, rectangle extension), and the general
     model-subtraction path: the power law A*d^p through the two innermost
     nodes is integrated in closed form over [0, d_max] and the cubic rule
     only sees the remainder, which vanishes at the fit nodes and carries
@@ -308,7 +316,6 @@ def _cap_integral(cap, logg, tol, scale):
     machine level.
     """
     d, lend = cap.d, cap.log_d
-    g = np.where(np.isfinite(logg), np.exp(logg), 0.0)
 
     def plain():
         v, v2 = cap.passes(g)
@@ -364,29 +371,31 @@ def _cap_integral(cap, logg, tol, scale):
 
 def _integrate_table(rule, logg, tol) -> QuadratureResult:
     """Core integration routine on the compactified variable."""
-    finite = np.isfinite(logg)
-    if not finite.any():
+    M = float(logg.max())
+    if not M < math.inf:  # +inf/NaN at a node mapped onto t_lo or t_hi: a zero
+        logg = np.where(np.isfinite(logg), logg, -math.inf)
+        M = float(logg.max())
+    if M == -math.inf:
         return QuadratureResult(value=0.0, abs_error_estimate=0.0, converged=True,
                                 diverged=False, log_value=-math.inf,
                                 detail="zero integrand")
-    M = float(np.max(logg[finite]))
-    lg = np.where(finite, logg - M, -np.inf)
-    g = np.where(finite, np.exp(lg), 0.0)
+    lg = logg - M
+    g = np.exp(lg)  # exp(-inf) = 0 marks the zeros
 
     # bulk first: its magnitude anchors the divergence significance scale
-    g_bulk = g[rule.bulk_first: rule.bulk_first + len(rule.w_bulk)]
-    bulk = float(np.sum(rule.w_bulk * g_bulk))
-    bulk2 = float(np.sum(rule.w_bulk_half * g[rule.bulk_half]))
+    bulk, bulk2 = _passes(rule.w_bulk, g[rule.bulk])
     err = abs(bulk - bulk2) / 8.0
     scale = max(abs(bulk), 1e-300)
 
     val = bulk
     diverged = False
     detail = ""
-    for side, cap, lg_out in (("lower", rule.lower, lg), ("upper", rule.upper, lg[::-1])):
+    for side, cap, lg_out, g_out in (("lower", rule.lower, lg, g),
+                                     ("upper", rule.upper, lg[::-1], g[::-1])):
         if cap is None:
             continue
-        v, e, dv, de = _cap_integral(cap, lg_out[: len(cap.d)], tol, scale)
+        m = len(cap.d)
+        v, e, dv, de = _cap_integral(cap, lg_out[:m], g_out[:m], tol, scale)
         if dv:
             diverged, detail = True, f"{side} {de}"
             break

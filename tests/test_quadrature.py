@@ -6,7 +6,12 @@ test.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,12 +24,14 @@ from prior_forge import (InputError, NumericalError, beta_density,
                          bounded_density, flat_density, gamma_density,
                          improper_flat, integrate, log_beta, mode,
                          normal_density, normalize, quantile)
-from prior_forge.density import (GridDensity, bounded_nodes, halfline_density,
+from prior_forge.density import (GridDensity, _bounded_grid, _halfline_grid,
+                                 _realline_grid, bounded_nodes, halfline_density,
                                  realline_density)
 from prior_forge.likelihoods import binomial_counts
 from prior_forge.propriety import posterior_mass
-from prior_forge.quadrature import (QuadratureRule, _cell_weights, _rule,
-                                    _rule_for_nodes, cdf_at)
+from prior_forge.quadrature import (QuadratureResult, QuadratureRule, _cap_integral,
+                                    _cell_weights, _decimate_idx, _node_weights,
+                                    _rule, _rule_for_nodes, _window_weights, cdf_at)
 
 
 def kernel_beta(a, b):
@@ -332,7 +339,7 @@ def test_fresh_grid_with_equal_nodes_integrates_bit_identically():
     first = kernel_beta(0.5, 2.5)
     integrate(first)
     shared = first.shifted(0.0)
-    fresh = kernel_beta(0.5, 2.5)
+    fresh = GridDensity(0.0, 1.0, first.nodes.copy(), first.log_values.copy())
     assert _rule(shared) is _rule(first)
     assert fresh._rule_slot is not first._rule_slot
     assert _rule(fresh) is _rule(first)
@@ -340,7 +347,8 @@ def test_fresh_grid_with_equal_nodes_integrates_bit_identically():
 
 
 def count_rule_builds(monkeypatch):
-    """Empty the table of recent rules and record each rule build."""
+    """Empty the table of recent rules and the default-grid layout caches,
+    and record each rule build."""
     builds = []
     real_build = QuadratureRule.build.__func__
 
@@ -350,6 +358,8 @@ def count_rule_builds(monkeypatch):
 
     monkeypatch.setattr(QuadratureRule, "build", classmethod(counting_build))
     _rule_for_nodes.cache_clear()
+    for layout in (_bounded_grid, _halfline_grid, _realline_grid):
+        layout.cache_clear()
     return builds
 
 
@@ -392,6 +402,21 @@ def test_rule_table_stays_bounded_and_rebuilds_bit_identically(monkeypatch):
     assert _rule(again) is not _rule(first)
 
 
+def test_default_builders_share_one_grid():
+    a, b = beta_density(0.5, 0.5), beta_density(2.0, 3.0)
+    assert a._rule_slot is b._rule_slot and a.nodes is b.nodes
+    # the public node builder still hands out a new, writable array
+    x, y = bounded_nodes(0.0, 1.0), bounded_nodes(0.0, 1.0)
+    assert x is not y and x.flags.writeable
+    x[0] = 0.5
+    assert bounded_nodes(0.0, 1.0)[0] == a.nodes[0]
+    # a different shift is a different layout
+    base, moved = (halfline_density(np.zeros_like, shift=s) for s in (0.0, 2.0))
+    assert base._rule_slot is not moved._rule_slot
+    assert not np.array_equal(base.nodes, moved.nodes)
+    assert moved.domain_lo == 2.0
+
+
 def test_grid_density_rejects_a_rule_for_other_nodes():
     d = beta_density(2.0, 2.0)
     integrate(d)
@@ -403,6 +428,123 @@ def test_grid_density_rejects_a_rule_for_other_nodes():
     # equal nodes are accepted, wherever the array came from
     twin = replace(beta_density(5.0, 1.0), _rule_slot=d._rule_slot)
     assert _rule(twin) is _rule(d)
+
+
+# ---------------------------------------------------------------------------
+# the weight-matrix kernel against the per-pass kernel it replaced
+
+
+def reference_integrate(density, tol=1e-8):
+    """integrate() as one weighted sum per pass: each pass gathers its own
+    nodes and each cap exponentiates its own slice. The cap extents and the
+    ladder come from the density's rule; every pass weight is built here."""
+    rule, t = _rule(density), density.t_nodes
+    n = len(t)
+    m_lo, m_hi = (len(c.d) - 1 if c is not None else 0 for c in (rule.lower, rule.upper))
+    bulk_nodes, w_bulk, _ = _window_weights(_cell_weights(t), [m_lo, n - 1 - m_hi])
+    bulk_half = m_lo + _decimate_idx(n - m_hi - m_lo)
+    logg = density.log_values + density.log_jacobian
+    finite = np.isfinite(logg)
+    if not finite.any():
+        return QuadratureResult(0.0, 0.0, True, False, -math.inf, "zero integrand")
+    M = float(np.max(logg[finite]))
+    lg = np.where(finite, logg - M, -np.inf)
+    g = np.where(finite, np.exp(lg), 0.0)
+    bulk = float(np.sum(w_bulk * g[bulk_nodes]))
+    bulk2 = float(np.sum(_node_weights(t[bulk_half]) * g[bulk_half]))
+    val, err, scale = bulk, abs(bulk - bulk2) / 8.0, max(abs(bulk), 1e-300)
+    for side, cap, lg_out in (("lower", rule.lower, lg), ("upper", rule.upper, lg[::-1])):
+        if cap is None:
+            continue
+        d, half = cap.d, _decimate_idx(len(cap.d))
+        w_full, w_half = _node_weights(d), _node_weights(d[half])
+        per_pass = SimpleNamespace(d=d, log_d=cap.log_d, passes=lambda v: (
+            float(np.sum(w_full * v)), float(np.sum(w_half * v[half]))))
+        lg_cap = lg_out[: len(d)]
+        g_cap = np.where(np.isfinite(lg_cap), np.exp(lg_cap), 0.0)
+        v, e, dv, de = _cap_integral(per_pass, lg_cap, g_cap, tol, scale)
+        if dv:
+            return QuadratureResult(math.inf, math.inf, False, True, math.inf, f"{side} {de}")
+        val, err = val + v, err + e
+    if rule.ladder_lo is not None:
+        inc = rule.ladder_lo.masses(g)[::-1]
+        last = inc[-3:]
+        if len(inc) >= 4 and np.all(last > 10.0 * tol * scale) \
+                and np.all(last[1:] >= 0.9995 * last[:-1]):
+            return QuadratureResult(math.inf, math.inf, False, True, math.inf,
+                                    "lower tail contributions not stabilizing")
+    return QuadratureResult(float(val * np.exp(M)), float(err * np.exp(M)),
+                            bool(err <= tol * max(abs(val), 1e-300)), False,
+                            math.log(val) + M if val > 0 else -math.inf)
+
+
+def _posterior(kind, p, q, r):
+    if kind == "beta":
+        return kernel_beta(p, q)
+    if kind == "edge-beta":  # finite mass, exponent in (-1, -0.999]: divergent
+        return kernel_beta(1e-3 * p / 8.0, q)
+    if kind == "gamma":
+        return halfline_density(lambda v: (p - 1.0) * np.log(v) - q * v)
+    return realline_density(lambda x: (p - 4.0) * x - 0.5 * (x - r) ** 2)
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["beta", "gamma", "exp-tilt", "edge-beta"]),
+       p=st.floats(0.3, 8.0), q=st.floats(0.3, 8.0), r=st.floats(-3.0, 3.0),
+       zeros=st.sampled_from(["lower", "upper", "bulk", "none", "all"]),
+       at=st.integers(0, 10 ** 6))
+def test_kernel_matches_the_per_pass_reference(kind, p, q, r, zeros, at):
+    d = _posterior(kind, p, q, r)
+    rule = _rule(d)
+    n = len(d.nodes)
+    m_lo, m_hi = (len(c.d) - 1 if c is not None else 0 for c in (rule.lower, rule.upper))
+    # -inf at one node of the chosen region; an odd `at` picks one of its
+    # first four nodes, for a cap the innermost, which its exponent fit reads
+    region = {"bulk": range(m_lo + 1, n - 1 - m_hi), "lower": range(0, m_lo + 1),
+              "upper": range(n - 1, n - 2 - m_hi, -1)}.get(zeros, range(0))
+    lv = d.log_values.copy()
+    if zeros == "all":
+        lv[:] = -math.inf
+    elif len(region):
+        lv[region[at % min(len(region), 4 if at % 2 else len(region))]] = -math.inf
+    d = d.with_log_values(lv)
+    got, want = integrate(d), reference_integrate(d)
+    assert (got.converged, got.diverged, got.detail) == \
+        (want.converged, want.diverged, want.detail)
+    assert math.isclose(got.value, want.value, rel_tol=1e-14)
+    # a log-value's absolute difference is the value's relative one
+    assert math.isclose(got.log_value, want.log_value, rel_tol=1e-14, abs_tol=1e-14)
+
+
+def test_a_node_at_the_mapped_endpoint_counts_as_zero():
+    # the last node maps to t = 1 exactly, where the half-line's log
+    # Jacobian overflows to +inf
+    x = np.append(np.geomspace(1e-3, 1e3, 100), 1e20)
+    with np.errstate(divide="ignore"):
+        d = GridDensity(0.0, math.inf, x, -3.0 * np.log1p(x))
+    assert d.log_jacobian[-1] == math.inf
+    got, want = integrate(d), reference_integrate(d)
+    assert math.isfinite(got.value) and math.isclose(got.value, want.value, rel_tol=1e-14)
+    assert (got.converged, got.diverged) == (want.converged, want.diverged)
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    code = ("import numpy as np\n"
+            "from prior_forge import bounded_density, integrate\n"
+            "d = bounded_density(lambda x: 1.5 * np.log(x) + 2.5 * np.log1p(-x), "
+            "0.0, 1.0, n=20001)\n"
+            "res = integrate(d)\n"
+            "print(res.value.hex(), res.abs_error_estimate.hex())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _kernel(family, p, q):
