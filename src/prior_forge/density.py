@@ -43,8 +43,7 @@ class _RuleSlot:
     """The quadrature rule of one node set, filled on first use.
 
     A slot is made with each density built from nodes and shared by every
-    density derived from it. Quadrature fills an empty slot with the rule
-    of a recent bit-equal node set when there is one (see quadrature._rule).
+    density derived from it (see quadrature._rule).
     """
 
     __slots__ = ("t_nodes", "t_lo", "t_hi", "rule")
@@ -266,8 +265,7 @@ def _realline_grid(center, scale, n) -> GridDensity:
 
 def halfline_density(log_pdf, scale: float = 1.0, n: int = 4097, *,
                      lo_frac: float = 1e-10, hi_frac: float = 1e4,
-                     shift: float = 0.0, normalized: bool = False,
-                     note: str = "") -> GridDensity:
+                     shift: float = 0.0, normalized: bool = False) -> GridDensity:
     """Density on (shift, inf) tabulated from a log-pdf callable.
 
     Nodes are log-spaced over [lo_frac, hi_frac] times `scale` (a
@@ -279,12 +277,11 @@ def halfline_density(log_pdf, scale: float = 1.0, n: int = 4097, *,
         raise InputError("scale must be positive")
     grid = _halfline_grid(float(scale), operator.index(n), float(lo_frac),
                           float(hi_frac), float(shift) + 0.0)
-    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized, note=note)
+    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized)
 
 
 def realline_density(log_pdf, center: float = 0.0, scale: float = 4.0,
-                     n: int = 2049, *, normalized: bool = False,
-                     note: str = "") -> GridDensity:
+                     n: int = 2049, *, normalized: bool = False) -> GridDensity:
     """Density on the whole real line tabulated from a log-pdf callable.
 
     Nodes come from a uniform grid in the arctangent variable
@@ -293,14 +290,14 @@ def realline_density(log_pdf, center: float = 0.0, scale: float = 4.0,
     if scale <= 0:
         raise InputError("scale must be positive")
     grid = _realline_grid(float(center), float(scale), operator.index(n))
-    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized, note=note)
+    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized)
 
 
 def bounded_density(log_pdf, lo: float, hi: float, n: int = 4097, *,
-                    normalized: bool = False, note: str = "") -> GridDensity:
+                    normalized: bool = False) -> GridDensity:
     """Density on a bounded support tabulated from a log-pdf callable."""
     grid = _bounded_grid(float(lo) + 0.0, float(hi) + 0.0, operator.index(n))
-    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized, note=note)
+    return grid.with_log_values(log_pdf(grid.nodes), normalized=normalized)
 
 
 # ---------------------------------------------------------------------------

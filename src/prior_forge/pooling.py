@@ -86,19 +86,18 @@ class PoolProblem:
         return self.components[0]
 
 
-def _weighted_log_sum(problem: PoolProblem) -> np.ndarray:
-    """Sum of alpha_i * log pi_i over components with positive weight.
+def _weighted_log_sum(alphas, components, start=0.0) -> np.ndarray:
+    """start plus alpha_i * log pi_i, added in component order over the
+    components with positive weight.
 
     Nodes where a positively weighted component vanishes come out as -inf,
     which is a valid zero of the pooled density. Zero-weight components
     are skipped entirely so they cannot poison nodes they do not affect.
     """
-    al = problem.weights.alphas
-    out = np.zeros(len(problem.grid))
-    for a, comp in zip(al, problem.components):
-        if a == 0.0:
-            continue
-        out = out + a * comp.log_values
+    out = start
+    for a, comp in zip(alphas, components):
+        if a > 0.0:
+            out = out + a * comp.log_values
     return out
 
 
@@ -110,7 +109,7 @@ def geometric_pool(problem: PoolProblem, tolerance: float = 1e-8) -> GridDensity
     invariant (after normalization) to rescaling any component by a
     constant, so unnormalized and improper components are acceptable.
     """
-    lv = _weighted_log_sum(problem)
+    lv = _weighted_log_sum(problem.weights.alphas, problem.components)
     pooled = problem.grid.with_log_values(lv)
     res = integrate(pooled, tolerance)
     if res.diverged:
@@ -162,7 +161,7 @@ def kl_objective(eta: GridDensity, problem: PoolProblem) -> float:
     if not eta.same_grid(problem.grid):
         raise InputError("candidate density must share the problem grid")
     le = eta.log_values
-    lp = _weighted_log_sum(problem)
+    lp = _weighted_log_sum(problem.weights.alphas, problem.components)
     active = np.isfinite(le)
     if np.any(active & ~np.isfinite(lp)):
         return math.inf

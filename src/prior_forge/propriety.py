@@ -7,7 +7,9 @@ with quadrature error bars: an apparent violation inside the error bars
 is reported as inconclusive, never as a counterexample. pooled_propriety
 bounds the posterior mass of a geometric pool by the weighted geometric
 mean of the component posterior masses, which is finite whenever every
-component posterior is proper.
+component posterior is proper. holder_check is that bound for the pool
+((mu, nu), (alpha, 1 - alpha)): both compute the pooled mass and its
+bound in one routine, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -89,15 +91,35 @@ def _require_proper(prior: GridDensity, log_like: np.ndarray,
     return verdict
 
 
-def _mass_bound(weighted_masses) -> tuple:
-    """Weighted geometric mean prod_i I_i^a_i of posterior masses, and its
-    error from the masses' relative errors, over (a_i, I_i) pairs."""
+def _pooled_mass(alphas, components, verdicts, log_like, tolerance) -> tuple:
+    """Mass of the pooled posterior L * prod_i pi_i^a_i over a_i > 0, and
+    its Hölder bound prod_i I_i^a_i from the components' proper verdicts.
+
+    Returns (mass, bound, bound error, within). within allows both
+    quadrature errors plus a few ulps: at a single positive weight both
+    sides are one integral reached through different arithmetic, and pure
+    rounding must not read as a violation.
+    """
+    res = integrate(components[0].with_log_values(
+        _weighted_log_sum(alphas, components, log_like)), tolerance)
+    if res.diverged:
+        # impossible with every component posterior proper; a numerical
+        # misclassification must fail loudly
+        raise NumericalError(
+            "pooled posterior mass classified divergent although every "
+            "component posterior is proper: " + res.detail
+        )
     log_bound = rel_err = 0.0
-    for a, mass in weighted_masses:
-        log_bound += a * mass.log_value
-        rel_err += a * mass.abs_error_estimate / mass.value
+    for a, verdict in zip(alphas, verdicts):
+        if a > 0.0:
+            log_bound += a * verdict.mass.log_value
+            rel_err += a * verdict.mass.abs_error_estimate / verdict.mass.value
     bound = math.exp(log_bound)
-    return bound, bound * rel_err
+    bound_err = bound * rel_err
+    value = res.value
+    slack = res.abs_error_estimate + bound_err \
+        + 8.0 * sys.float_info.epsilon * max(value, bound)
+    return res, bound, bound_err, value <= bound + slack
 
 
 @dataclass(frozen=True)
@@ -139,33 +161,13 @@ def holder_check(mu: GridDensity, nu: GridDensity, alpha: float,
     mu_verdict = _require_proper(mu, log_like, tolerance, failed.format("mu"))
     nu_verdict = _require_proper(nu, log_like, tolerance, failed.format("nu"))
 
-    blend = log_like
-    if alpha > 0.0:
-        blend = blend + alpha * mu.log_values
-    if alpha < 1.0:
-        blend = blend + (1.0 - alpha) * nu.log_values
-    lhs_res = integrate(mu.with_log_values(blend), tolerance)
-    if lhs_res.diverged:
-        # mathematically impossible under the preconditions; numerical
-        # misclassification must fail loudly
-        raise NumericalError(
-            "interpolated posterior mass classified divergent although both "
-            "hypothesis posteriors are proper: " + lhs_res.detail
-        )
+    lhs_res, rhs, rhs_err, holds = _pooled_mass(
+        (alpha, 1.0 - alpha), (mu, nu), (mu_verdict, nu_verdict), log_like,
+        tolerance)
     lhs = lhs_res.value
-    lhs_err = lhs_res.abs_error_estimate
-
-    rhs, rhs_err = _mass_bound(((alpha, mu_verdict.mass),
-                                (1.0 - alpha, nu_verdict.mass)))
-    # a few ulps of slack on top of the quadrature errors: at the alpha
-    # endpoints both sides are the same integral reached through different
-    # arithmetic, and pure rounding must not read as a violation
-    budget = lhs_err + rhs_err + 8.0 * sys.float_info.epsilon * max(lhs, rhs)
-    holds = lhs <= rhs + budget
-    inconclusive = holds and lhs > rhs
     return HolderReport(
-        lhs=lhs, rhs=rhs, lhs_error=lhs_err, rhs_error=rhs_err,
-        holds=holds, inconclusive=inconclusive, alpha=alpha,
+        lhs=lhs, rhs=rhs, lhs_error=lhs_res.abs_error_estimate, rhs_error=rhs_err,
+        holds=holds, inconclusive=holds and lhs > rhs, alpha=alpha,
         mu_mass=mu_verdict, nu_mass=nu_verdict,
     )
 
@@ -195,7 +197,7 @@ def pooled_propriety(problem: PoolProblem, likelihood: LikelihoodModel,
     posterior; the offending component is named otherwise. The pooled
     kernel is used unnormalized (the bound is stated for raw components).
     """
-    al = problem.weights.alphas
+    al = problem.weights.alphas.tolist()
     log_like = _log_likelihood_on(problem.grid, likelihood)
     verdicts = [
         None if a == 0.0 else _require_proper(
@@ -203,24 +205,13 @@ def pooled_propriety(problem: PoolProblem, likelihood: LikelihoodModel,
             f"failed: component {i} has an improper posterior")
         for i, (a, comp) in enumerate(zip(al, problem.components))
     ]
-    bound, bound_err = _mass_bound((a, v.mass) for a, v in zip(al, verdicts)
-                                   if v is not None)
-
-    pooled_kernel = problem.grid.with_log_values(_weighted_log_sum(problem))
-    res = integrate(_posterior_density(pooled_kernel, log_like), tolerance)
-    if res.diverged:
-        raise NumericalError(
-            "pooled posterior classified divergent although every component "
-            "posterior is proper; this is an internal inconsistency: "
-            + res.detail
-        )
-    proper = res.converged and res.value > 0
-    bound_ok = res.value <= bound + bound_err + res.abs_error_estimate
+    res, bound, bound_err, within = _pooled_mass(al, problem.components, verdicts,
+                                                 log_like, tolerance)
     return PooledProprietyReport(
         pooled_mass=res,
         bound=bound,
         bound_error=bound_err,
         component_masses=tuple(verdicts),
-        proper=proper,
-        bound_satisfied=bound_ok,
+        proper=res.converged and res.value > 0,
+        bound_satisfied=within,
     )

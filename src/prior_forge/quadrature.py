@@ -29,10 +29,9 @@ the values of the integrand, which integrate exponentiates once. The
 first integrate over a density stores the rule in the density's rule
 slot; with_log_values and dataclasses.replace pass the slot on, so every
 posterior, blend, pool and perturbation derived from one grid reuses its
-rule, and the default builders share one slot per layout. An empty slot,
-as a density built from caller-supplied nodes has, is filled from a small
-table of recent rules keyed by the exact node set. Equal keys mean
-bit-equal nodes, so a shared rule gives the same bits as a fresh one.
+rule, and the default builders share one slot per layout. A density
+built from caller-supplied nodes has a slot of its own and builds its
+rule on first use; equal nodes give a rule with the same bits.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +46,11 @@ from .density import GridDensity
 from .errors import InputError, NumericalError
 
 DEFAULT_TOL = 1e-8
+
+# cap cells: wider than this times their distance from the endpoint, or
+# nearer to it than this share of the span (see _cap_extent)
+_CAP_WIDE = 0.1
+_CAP_NEAR = 0.05
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ def _decimate_idx(m):
     return idx
 
 
-def _cap_extent(d, span, max_cells, wide_ratio=0.1, frac=0.05):
+def _cap_extent(d, span, max_cells):
     """Number of cells near an endpoint that need power-law treatment.
 
     d holds the node distances from the endpoint, increasing away from
@@ -159,7 +162,7 @@ def _cap_extent(d, span, max_cells, wide_ratio=0.1, frac=0.05):
     if d[0] <= 0:
         return 0
     lead = d[:max_cells + 1]
-    in_cap = (np.diff(lead) > wide_ratio * lead[:-1]) | (lead[1:] < frac * span)
+    in_cap = (np.diff(lead) > _CAP_WIDE * lead[:-1]) | (lead[1:] < _CAP_NEAR * span)
     return int(np.argmin(in_cap)) if not in_cap.all() else len(in_cap)
 
 
@@ -246,14 +249,10 @@ class QuadratureRule:
         ncell = n - 1
         d_lo = t - t_lo
         d_hi = (t_hi - t)[::-1]
+        # each cap has at most (ncell - 8) // 2 cells, so the bulk keeps 8
         max_cells = max((ncell - 8) // 2, 0)
         m_lo = _cap_extent(d_lo, t_hi - t_lo, max_cells)
         m_hi = _cap_extent(d_hi, t_hi - t_lo, max_cells)
-        while (ncell - m_lo - m_hi) < 8 and (m_lo > 0 or m_hi > 0):
-            if m_lo >= m_hi:
-                m_lo -= 1
-            else:
-                m_hi -= 1
         w = _cell_weights(t)
         bulk_nodes, w_bulk, _ = _window_weights(w, [m_lo, ncell - m_hi])
         bulk = slice(int(bulk_nodes[0]), int(bulk_nodes[-1]) + 1)
@@ -283,21 +282,13 @@ def _ladder_bounds(d, reach):
 
 
 def _rule(density: GridDensity) -> QuadratureRule:
-    """The density's quadrature rule, kept in its shared slot. An empty
-    slot is filled from the table of recent rules; keying copies and
-    hashes the nodes, so only an empty slot pays it. Two threads may both
-    fill a slot; the rules are equal, so either may stay."""
+    """The density's quadrature rule, built into its shared slot on first
+    use. Two threads may both fill a slot; the rules are equal, so either
+    may stay."""
     slot = density._rule_slot
     if slot.rule is None:
-        slot.rule = _rule_for_nodes(slot.t_lo, slot.t_hi, slot.t_nodes.tobytes())
+        slot.rule = QuadratureRule.build(slot.t_nodes, slot.t_lo, slot.t_hi)
     return slot.rule
-
-
-@lru_cache(maxsize=8)
-def _rule_for_nodes(t_lo, t_hi, t_bytes) -> QuadratureRule:
-    """The rule of the node set whose float64 nodes have bytes t_bytes.
-    The table keeps the 8 most recent rules and is thread-safe."""
-    return QuadratureRule.build(np.frombuffer(t_bytes), t_lo, t_hi)
 
 
 def _cap_integral(cap, logg, g, tol, scale):
@@ -341,13 +332,12 @@ def _cap_integral(cap, logg, g, tol, scale):
 
     # remainder after subtracting the fitted power law, computed stably:
     # r = g - exp(lmodel) = -g * expm1(lmodel - logg) where both are finite
+    # (a finite node whose g underflows keeps that form); at a zero node,
+    # where that product is -0.0, r = -exp(lmodel)
     lmodel = logg[0] + p * (lend - lend[0])
-    with np.errstate(invalid="ignore", over="ignore"):
-        r = np.where(
-            np.isfinite(logg),
-            -g * np.expm1(np.minimum(lmodel - logg, 700.0)),
-            -np.exp(lmodel),
-        )
+    r = -g * np.expm1(np.minimum(lmodel - logg, 700.0))
+    zero = logg == -math.inf
+    r[zero] = -np.exp(lmodel[zero])
     model_total = math.exp(logg[0] + (p + 1.0) * (lend[-1] - lend[0])) \
         * d[0] / (p + 1.0)
     rem, rem2 = cap.passes(r)

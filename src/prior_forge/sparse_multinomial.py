@@ -259,7 +259,7 @@ def v_summary_table(configs, hyper: HyperPriorSpec,
     """Summary rows for a sweep of (m, n, r0) configurations.
 
     Rows keep the input order; work is parallelized across configurations
-    (thread count capped by PRIOR_FORGE_THREADS) without affecting output.
+    (util.thread_cap workers) without affecting output.
     """
     data = [canonical_counts(int(m), int(n), int(r0)) for (m, n, r0) in configs]
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:

@@ -1,5 +1,5 @@
-"""Small shared helpers: thread caps, value formatting, atomic text
-output, a median and a quantile of sorted values."""
+"""Small shared helpers: the thread-pool worker count, value formatting,
+atomic text output, a median and a quantile of sorted values."""
 
 from __future__ import annotations
 
@@ -9,18 +9,9 @@ import tempfile
 
 import numpy as np
 
-THREADS_ENV = "PRIOR_FORGE_THREADS"
-
 
 def thread_cap() -> int:
-    """Worker count for parallel sweeps, capped by PRIOR_FORGE_THREADS."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    if requested > 0:
-        return requested
+    """Worker count for parallel sweeps: the CPU count, at most 8."""
     return min(os.cpu_count() or 1, 8)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import prior_forge
+from prior_forge import pooling, sparse_multinomial
 from prior_forge.cli import main
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
                                  gamma_density, improper_flat, normal_density,
@@ -416,16 +417,20 @@ POOL_SPEC = [{"family": "beta", "a": 0.5, "b": 0.5},
 
 def test_output_bytes_do_not_depend_on_the_thread_count(tmp_path, capsys, monkeypatch):
     spec = write_pool_spec(tmp_path, POOL_SPEC, [0.3, 0.7])
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps([{"m": 1000, "n": 3, "r0": r0} for r0 in (1, 2, 3)]))
     jobs = [("ordered-mn", "--m", "6", "--count", "5000", "--seed", "31"),
             ("pool", "--spec", spec, "--seed", "31"),
             ("ordered-mn", "--m", "6", "--count", "5000", "--seed", "31",
-             "--format", "json")]
+             "--format", "json"),
+            ("sparse-mn", "--configs", str(sweep), "--format", "json")]
     outputs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("PRIOR_FORGE_THREADS", threads)
+    for threads in (1, 4):
+        for module in (pooling, sparse_multinomial):
+            monkeypatch.setattr(module, "thread_cap", lambda: threads)
         outputs[threads] = [run(capsys, *job) for job in jobs]
-    assert all(code == 0 for code, _, _ in outputs["1"])
-    assert outputs["1"] == outputs["4"]
+    assert all(code == 0 for code, _, _ in outputs[1])
+    assert outputs[1] == outputs[4]
 
 
 def _run_fresh(tmp_path, code):

@@ -208,9 +208,9 @@ def test_verify_pool_optimality_thread_count_invariance(monkeypatch):
     a = beta_density(0.5, 0.5)
     b = beta_density(1.5, 2.5)
     prob = PoolProblem((a, b), PoolWeights((0.3, 0.7)))
-    monkeypatch.setenv("PRIOR_FORGE_THREADS", "1")
+    monkeypatch.setattr(pooling, "thread_cap", lambda: 1)
     r1 = verify_pool_optimality(prob, 8, RandomStream(5, 0))
-    monkeypatch.setenv("PRIOR_FORGE_THREADS", "4")
+    monkeypatch.setattr(pooling, "thread_cap", lambda: 4)
     r4 = verify_pool_optimality(prob, 8, RandomStream(5, 0))
     np.testing.assert_array_equal(r1.margins, r4.margins)
     np.testing.assert_array_equal(r1.epsilons, r4.epsilons)

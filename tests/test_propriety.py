@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
-                                 gamma_density, improper_flat)
+                                 gamma_density, halfline_density, improper_flat)
 from prior_forge.errors import InputError, NumericalError
 from prior_forge.likelihoods import (LikelihoodModel, binomial_counts,
                                      normal_location, poisson_counts,
@@ -262,6 +263,46 @@ def test_pooled_bound_is_weighted_geometric_mean_of_masses():
     i_b = posterior_mass(b, lik).mass.value
     assert rep.bound == pytest.approx(i_a**0.4 * i_b**0.6, rel=1e-10)
     assert rep.pooled_mass.value <= rep.bound + rep.bound_error
+
+
+def test_pooled_report_scalars_are_python_types():
+    prob = PoolProblem((beta_density(0.5, 0.5), beta_density(2.0, 1.0)),
+                       PoolWeights((0.4, 0.6)))
+    rep = pooled_propriety(prob, binomial_counts(2, 4))
+    assert type(rep.bound_satisfied) is bool and type(rep.proper) is bool
+    assert type(rep.bound) is float and type(rep.bound_error) is float
+    fields = {"bound": rep.bound, "bound_error": rep.bound_error,
+              "proper": rep.proper, "bound_satisfied": rep.bound_satisfied}
+    assert json.loads(json.dumps(fields)) == fields
+
+
+def _seeded_pool_cases(seed, count):
+    """(mu, nu, alpha, likelihood) over Beta-binomial and gamma-Poisson
+    priors with every shape at least 2, so every posterior converges."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        alpha = (0.0, 1.0)[i] if i < 2 else float(rng.uniform())
+        s1, s2, r1, r2 = (float(v) for v in rng.uniform(2.0, 8.0, 4))
+        if i % 2:
+            mu = halfline_density(lambda v: (s1 - 1.0) * np.log(v) - r1 * v)
+            nu = halfline_density(lambda v: (s2 - 1.0) * np.log(v) - r2 * v)
+            lik = poisson_counts(rng.integers(0, 5, size=int(rng.integers(1, 4))))
+        else:
+            trials = int(rng.integers(1, 11))
+            mu, nu = beta_density(s1, r1), beta_density(s2, r2)
+            lik = binomial_counts(int(rng.integers(0, trials + 1)), trials)
+        yield mu, nu, alpha, lik
+
+
+def test_holder_check_and_pooled_propriety_agree_bitwise():
+    for mu, nu, alpha, lik in _seeded_pool_cases(17, 40):
+        rep = holder_check(mu, nu, alpha, lik)
+        pooled = pooled_propriety(
+            PoolProblem((mu, nu), PoolWeights((alpha, 1.0 - alpha))), lik)
+        assert pooled.pooled_mass.value == rep.lhs
+        assert pooled.pooled_mass.abs_error_estimate == rep.lhs_error
+        assert pooled.bound == rep.rhs and pooled.bound_error == rep.rhs_error
+        assert rep.holds and pooled.bound_satisfied
 
 
 def test_two_cell_multinomial_is_the_binomial_kernel():

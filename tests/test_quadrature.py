@@ -31,7 +31,7 @@ from prior_forge.likelihoods import binomial_counts
 from prior_forge.propriety import posterior_mass
 from prior_forge.quadrature import (QuadratureResult, QuadratureRule, _cap_integral,
                                     _cell_weights, _decimate_idx, _node_weights,
-                                    _rule, _rule_for_nodes, _window_weights, cdf_at)
+                                    _rule, _window_weights, cdf_at)
 
 
 def kernel_beta(a, b):
@@ -341,14 +341,15 @@ def test_fresh_grid_with_equal_nodes_integrates_bit_identically():
     shared = first.shifted(0.0)
     fresh = GridDensity(0.0, 1.0, first.nodes.copy(), first.log_values.copy())
     assert _rule(shared) is _rule(first)
+    # a grid built from caller-supplied nodes builds its own rule, and
+    # equal nodes give the same bits
     assert fresh._rule_slot is not first._rule_slot
-    assert _rule(fresh) is _rule(first)
+    assert _rule(fresh) is not _rule(first)
     assert integrate(shared) == integrate(fresh)
 
 
 def count_rule_builds(monkeypatch):
-    """Empty the table of recent rules and the default-grid layout caches,
-    and record each rule build."""
+    """Empty the default-grid layout caches and record each rule build."""
     builds = []
     real_build = QuadratureRule.build.__func__
 
@@ -357,7 +358,6 @@ def count_rule_builds(monkeypatch):
         return real_build(cls, *args)
 
     monkeypatch.setattr(QuadratureRule, "build", classmethod(counting_build))
-    _rule_for_nodes.cache_clear()
     for layout in (_bounded_grid, _halfline_grid, _realline_grid):
         layout.cache_clear()
     return builds
@@ -385,21 +385,22 @@ def test_densities_on_equal_nodes_build_one_rule(monkeypatch):
     assert _rule(gammas[1]) is _rule(gammas[0])
 
 
-def test_rule_table_stays_bounded_and_rebuilds_bit_identically(monkeypatch):
+def test_layout_table_stays_bounded_and_rebuilds_bit_identically(monkeypatch):
     builds = count_rule_builds(monkeypatch)
-    bound = _rule_for_nodes.cache_info().maxsize
+    bound = _bounded_grid.cache_info().maxsize
     first = kernel_beta(2.5, 3.5)
     want = integrate(first)
     for n in range(2049, 2049 + 2 * bound):
         integrate(beta_density(2.0, 2.0, n=n))
-    assert _rule_for_nodes.cache_info().currsize == bound
+    assert _bounded_grid.cache_info().currsize == bound
     assert len(builds) == 1 + 2 * bound
-    # the first grid's rule has been evicted: a fresh density on those
-    # nodes builds it again, and the rebuilt rule gives the same bits
+    # the first layout has been evicted: the next density on it builds its
+    # grid and rule again, and they give the same bits
     again = kernel_beta(2.5, 3.5)
+    assert again._rule_slot is not first._rule_slot
+    assert np.array_equal(again.nodes, first.nodes)
     assert integrate(again) == want
     assert len(builds) == 2 + 2 * bound
-    assert _rule(again) is not _rule(first)
 
 
 def test_default_builders_share_one_grid():

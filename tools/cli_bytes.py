@@ -10,6 +10,10 @@ directory. The job leaves there `argv.txt`, `exit.txt`, `stdout.txt`,
 are written to OUTDIR/inputs with plain Python, not with the library under
 test, and jobs name them by relative path, so two checkouts run with the
 same OUTDIR layout give the same bytes wherever the output is the same.
+OUTDIR may be relative; it is resolved against the working directory
+before the first job changes it. In `stderr.txt` the directory of the
+imported package is written as `<prior_forge>`, so that a warning's source
+path does not differ between checkouts; its line number is kept.
 
 Run it on two checkouts and compare the two directories with `diff -r`.
 """
@@ -24,7 +28,10 @@ import os
 import sys
 from pathlib import Path
 
+import prior_forge
 from prior_forge.cli import main
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(prior_forge.__file__))
 
 SWEEP = [{"m": 1000, "n": 3, "r0": r0} for r0 in (1, 2, 3)]
 POOL = {"components": [{"family": "beta", "a": 0.5, "b": 0.5},
@@ -298,7 +305,8 @@ def run_all(outdir: Path) -> int:
             (job_dir / "argv.txt").write_text("\n".join(argv) + "\n")
             (job_dir / "exit.txt").write_text(f"{code}\n")
             (job_dir / "stdout.txt").write_text(stdout)
-            (job_dir / "stderr.txt").write_text(stderr)
+            (job_dir / "stderr.txt").write_text(
+                stderr.replace(PACKAGE_DIR, "<prior_forge>"))
     finally:
         os.chdir(start)
     return len(jobs)
@@ -307,4 +315,4 @@ def run_all(outdir: Path) -> int:
 if __name__ == "__main__":
     if len(sys.argv) != 2 or Path(sys.argv[1]).exists():
         sys.exit("usage: cli_bytes.py OUTDIR  (OUTDIR must not exist yet)")
-    print(f"{run_all(Path(sys.argv[1]))} jobs written to {sys.argv[1]}")
+    print(f"{run_all(Path(sys.argv[1]).resolve())} jobs written to {sys.argv[1]}")
