@@ -70,10 +70,11 @@ def _write_out(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _emit_rows(args, config, rows, columns, **scalars) -> int:
-    """Write a row table in the requested format: JSON holds the config,
-    the summary scalars and the rows; CSV echoes the scalars as comments
-    above the table."""
+def _emit_rows(args, extras, rows, columns, **scalars) -> int:
+    """Write a row table in the requested format: JSON holds the effective
+    config (with the handler's extras), the summary scalars and the rows;
+    CSV echoes the scalars as comments above the table."""
+    config = _effective_config(args, extras)
     if args.format == "json":
         text = _emit_json({"config": config, **scalars, "rows": rows})
     else:
@@ -105,10 +106,14 @@ def _spec_float(params, key, spec, default=None):
         if default is None:
             raise InputError(f"spec {spec!r} is missing {key!r}")
         return default
-    try:
-        return float(params[key])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"spec {spec!r}: {key} must be a number") from exc
+    value = params[key]
+    # float() would take JSON true and false as 1.0 and 0.0
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"spec {spec!r}: {key} must be a number")
 
 
 def _build_components(specs: list) -> list:
@@ -121,8 +126,8 @@ def _build_components(specs: list) -> list:
     """
     from . import density as dens
 
-    files = []
-    recipes = []
+    # (label, support, grid-file density or (log_pdf, normalized) recipe)
+    entries = []
     for i, spec in enumerate(specs):
         if isinstance(spec, str):
             family, params = _parse_kv_spec(spec)
@@ -146,76 +151,67 @@ def _build_components(specs: list) -> list:
             path = params.get("path")
             if not path:
                 raise InputError(f"{label}: grid-file needs a path")
-            files.append((dens.read_density(path), label))
-            recipes.append(None)
+            d = dens.read_density(path)
+            entries.append((label, (d.domain_lo, d.domain_hi), d))
             continue
         values = {key: _spec_float(params, key, label, default)
                   for key, default in fam.params.items()}
         try:
-            recipes.append(fam.build(**values))
+            support, log_pdf, normalized = fam.build(**values)
         except InputError as exc:
             raise InputError(f"{label}: {exc}") from None
+        entries.append((label, support, (log_pdf, normalized)))
 
-    domains = ({(d.domain_lo, d.domain_hi) for d, _ in files}
-               | {r[0] for r in recipes if r is not None})
+    domains = {support for _, support, _ in entries}
     if len(domains) != 1:
         raise InputError(
             "all pool components must share one support; got "
             + ", ".join(sorted(f"[{lo}, {hi}]" for lo, hi in domains))
         )
-    template = files[0][0] if files else dens.improper_flat(*domains.pop())
-    for d, label in files[1:]:
+    files = [(label, s) for label, _, s in entries if isinstance(s, dens.GridDensity)]
+    template = files[0][1] if files else dens.improper_flat(*domains.pop())
+    for label, d in files[1:]:
         if not template.same_grid(d):
             raise InputError(f"{label}: grid differs from the first grid file")
-    file_iter = (d for d, _ in files)
-    return [next(file_iter) if r is None
-            else template.with_log_values(r[1](template.nodes), normalized=r[2])
-            for r in recipes]
+    return [s if isinstance(s, dens.GridDensity)
+            else template.with_log_values(s[0](template.nodes), normalized=s[1])
+            for _, _, s in entries]
 
 
-def _normal_from_data(data: str):
-    from .likelihoods import normal_location
-    return normal_location([float(v) for v in data.split(",")])
-
-
-def _binomial_from_data(data: str):
-    from .likelihoods import binomial_counts
-    parts = data.split(",")
-    if len(parts) != 2:
+def _binomial_data(lk, items):
+    if len(items) != 2:
         raise InputError("binomial data must be 'successes,trials'")
-    return binomial_counts(int(parts[0]), int(parts[1]))
+    return lk.binomial_counts(int(items[0]), int(items[1]))
 
 
-def _poisson_from_data(data: str):
-    from .likelihoods import poisson_counts
-    return poisson_counts([int(v) for v in data.split(",")])
-
-
-def _multinomial_from_data(data: str):
-    from .likelihoods import multinomial_counts
-    return multinomial_counts([int(v) for v in data.split(",")])
-
-
-def _tabulated_from_file(path: str):
+def _grid_file_data(lk, items):
     from .density import read_density
-    from .likelihoods import tabulated_likelihood
-    table = read_density(path)
-    return tabulated_likelihood(table.nodes, table.log_values,
-                                table.domain_lo, table.domain_hi)
+    table = read_density(",".join(items))  # the path, commas and all
+    return lk.tabulated_likelihood(table.nodes, table.log_values,
+                                   table.domain_lo, table.domain_hi)
+
+
+def _data_reader(build):
+    """The constructor of a --likelihood from the --data string: build gets
+    the likelihoods module and the comma-split data."""
+    def read(data: str):
+        from . import likelihoods
+        return build(likelihoods, data.split(","))
+    return read
 
 
 # --likelihood name -> constructor from the --data string
-_LIKELIHOODS = {
-    "normal": _normal_from_data,
-    "binomial": _binomial_from_data,
-    "poisson": _poisson_from_data,
-    "multinomial": _multinomial_from_data,
-    "grid-file": _tabulated_from_file,
-}
+_LIKELIHOODS = {name: _data_reader(build) for name, build in (
+    ("normal", lambda lk, items: lk.normal_location([float(v) for v in items])),
+    ("binomial", _binomial_data),
+    ("poisson", lambda lk, items: lk.poisson_counts([int(v) for v in items])),
+    ("multinomial", lambda lk, items: lk.multinomial_counts([int(v) for v in items])),
+    ("grid-file", _grid_file_data),
+)}
 
 
-def _effective_config(args, command, extras):
-    return {"command": command, "seed": args.seed, "tol": args.tol,
+def _effective_config(args, extras):
+    return {"command": args.command, "seed": args.seed, "tol": args.tol,
             "format": args.format, **extras}
 
 
@@ -263,6 +259,9 @@ def _cmd_pool(args) -> int:
         raise InputError("pool spec must list at least one component")
     components = _build_components(spec["components"])
     if "weights" in spec:
+        if isinstance(spec["weights"], list) \
+                and any(isinstance(w, bool) for w in spec["weights"]):
+            raise InputError("pool weights must be numbers, not true or false")
         try:
             alphas = np.asarray(spec["weights"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -273,7 +272,7 @@ def _cmd_pool(args) -> int:
     problem = PoolProblem(tuple(components), weights)
     pooled = geometric_pool(problem, args.tol) if args.kind == "geometric" \
         else arithmetic_pool(problem)
-    config = _effective_config(args, "pool", {
+    config = _effective_config(args, {
         "spec": _input_name(args.spec), "kind": args.kind,
         "weights": ",".join(fmt_value(float(w)) for w in weights.alphas),
     })
@@ -309,7 +308,7 @@ def _cmd_holder(args) -> int:
     likelihood = _LIKELIHOODS[args.likelihood](args.data)
     report = holder_check(components[0], components[1], args.alpha,
                           likelihood, args.tol)
-    config = _effective_config(args, "holder", {
+    config = _effective_config(args, {
         "mu": args.mu, "nu": args.nu, "alpha": args.alpha,
         "likelihood": args.likelihood, "data": args.data,
     })
@@ -332,6 +331,15 @@ def _cmd_holder(args) -> int:
     return 0
 
 
+def _json_int(value, what: str) -> int:
+    """int(value) for a count read from JSON. true, false and fractions are
+    refused, which int() would take as 1, 0 and a truncation."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise InputError(f"{what} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _read_configs(path: str) -> list:
     """(m, n, r0) triples from a JSON list of {"m", "n", "r0"} objects."""
     with open(path) as fh:
@@ -339,7 +347,9 @@ def _read_configs(path: str) -> list:
     if not isinstance(configs, list):
         raise InputError(f"{path}: configs must be a JSON list")
     try:
-        return [(int(c["m"]), int(c["n"]), int(c["r0"])) for c in configs]
+        return [tuple(_json_int(c[key], f"{path}: config {i}: {key}")
+                      for key in ("m", "n", "r0"))
+                for i, c in enumerate(configs)]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: every config needs integer m, n and r0 "
                          f"({type(exc).__name__}: {exc})") from None
@@ -355,13 +365,12 @@ def _cmd_sparse_mn(args) -> int:
                                tolerance=args.tol)
     else:
         rows = [v_summary_row(_counts_from_args(args), hyper, args.tol)]
-    config = _effective_config(args, "sparse-mn", {
+    return _emit_rows(args, {
         "hyperprior": hyper.kind,
         "a_max": hyper.a_max,
         "hyper_file": _input_name(hyper.path),
         "configs": _input_name(args.configs),
-    })
-    return _emit_rows(args, config, rows, SUMMARY_COLUMNS)
+    }, rows, SUMMARY_COLUMNS)
 
 
 def _cmd_compare(args) -> int:
@@ -371,11 +380,10 @@ def _cmd_compare(args) -> int:
     hyper = _hyper_from_args(args)
     a_point = args.a_point if args.a_point is not None else 1.0 / data.m
     rows = compare_priors(data, hyper, a_point, tolerance=args.tol)
-    config = _effective_config(args, "compare", {
+    return _emit_rows(args, {
         "m": data.m, "n": data.n, "r0": data.r0,
         "hyperprior": hyper.kind, "a_point": a_point,
-    })
-    return _emit_rows(args, config, rows, COMPARE_COLUMNS)
+    }, rows, COMPARE_COLUMNS)
 
 
 def _cmd_poisson_equiv(args) -> int:
@@ -386,12 +394,10 @@ def _cmd_poisson_equiv(args) -> int:
     stream = RandomStream(args.seed, 0)
     report = dirichlet_equivalence_report(args.a, args.m, args.count, betas,
                                           stream)
-    config = _effective_config(args, "poisson-equiv", {
-        "a": args.a, "m": args.m, "count": args.count, "betas": args.betas,
-    })
     rows = [asdict(check) for check in report.checks]
     columns = [f.name for f in fields(MarginalCheck)]
-    return _emit_rows(args, config, rows, columns,
+    extras = {"a": args.a, "m": args.m, "count": args.count, "betas": args.betas}
+    return _emit_rows(args, extras, rows, columns,
                       exact_invariance_sup=report.exact_invariance_sup,
                       all_ok=report.all_ok)
 
@@ -402,12 +408,9 @@ def _cmd_ordered_mn(args) -> int:
 
     stream = RandomStream(args.seed, 0)
     report = ordered_prior_diagnostics(args.m, args.count, stream)
-    config = _effective_config(args, "ordered-mn", {
-        "m": args.m, "count": args.count,
-    })
     rows = [asdict(r) for r in report.rows]
     columns = [f.name for f in fields(OrderedCellRow)]
-    return _emit_rows(args, config, rows, columns,
+    return _emit_rows(args, {"m": args.m, "count": args.count}, rows, columns,
                       k_star=report.k_star, mean_sum=report.mean_sum)
 
 

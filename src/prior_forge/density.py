@@ -7,11 +7,12 @@ so that tail mass can be integrated and tail divergence detected from the
 node pattern near the mapped endpoints. Bounded supports use the identity
 map.
 
-Densities are immutable; transforms return new instances sharing the grid
-and its quadrature rule slot (see quadrature.QuadratureRule); so do the
-densities of the default builders with equal layouts, whose grid is built
-once. The `normalized` flag certifies unit mass under this package's
-quadrature (see quadrature.normalize).
+Densities are immutable; transforms (with_log_values, shifted) return new
+instances sharing the grid and its quadrature rule slot (see
+quadrature.QuadratureRule); so do the densities of the default builders
+with equal layouts, whose grid is built once. dataclasses.replace builds a
+density with a slot of its own. The `normalized` flag certifies unit mass
+under this package's quadrature (see quadrature.normalize).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class _RuleSlot:
     """The quadrature rule of one node set, filled on first use.
 
     A slot is made with each density built from nodes and shared by every
-    density derived from it (see quadrature._rule).
+    density derived from it through with_log_values (see quadrature._rule).
     """
 
     __slots__ = ("t_nodes", "t_lo", "t_hi", "rule")
@@ -51,11 +52,6 @@ class _RuleSlot:
     def __init__(self, t_nodes, t_lo, t_hi):
         self.t_nodes, self.t_lo, self.t_hi = t_nodes, t_lo, t_hi
         self.rule = None
-
-    def fits(self, t_nodes, t_lo, t_hi) -> bool:
-        return (t_lo == self.t_lo and t_hi == self.t_hi
-                and (t_nodes is self.t_nodes
-                     or np.array_equal(t_nodes, self.t_nodes)))
 
 
 @dataclass(frozen=True)
@@ -72,8 +68,8 @@ class GridDensity:
         variable, its endpoint values, and log dx/dt at the nodes.
     note: free-form annotation (e.g. impropriety warnings from pooling).
 
-    The quadrature rule slot is carried along by with_log_values and
-    dataclasses.replace; a slot made for other nodes is rejected.
+    The constructor makes the quadrature rule slot, which with_log_values
+    and shifted carry along; dataclasses.replace makes a fresh one.
     """
 
     domain_lo: float
@@ -86,7 +82,7 @@ class GridDensity:
     t_hi: float = math.nan
     log_jacobian: np.ndarray = None
     note: str = ""
-    _rule_slot: _RuleSlot = field(default=None, repr=False, compare=False)
+    _rule_slot: _RuleSlot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -128,11 +124,8 @@ class GridDensity:
             object.__setattr__(self, "log_jacobian", logjac)
         for arr in (self.nodes, self.log_values, self.t_nodes, self.log_jacobian):
             arr.setflags(write=False)
-        if self._rule_slot is None:
-            object.__setattr__(self, "_rule_slot",
-                               _RuleSlot(self.t_nodes, self.t_lo, self.t_hi))
-        elif not self._rule_slot.fits(self.t_nodes, self.t_lo, self.t_hi):
-            raise InputError("quadrature rule slot belongs to other nodes")
+        object.__setattr__(self, "_rule_slot",
+                           _RuleSlot(self.t_nodes, self.t_lo, self.t_hi))
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .density import GridDensity
 from .errors import InputError, NumericalError
-from .quadrature import (_normalized_by, integrate, normalize,
+from .quadrature import (DEFAULT_TOL, _normalized_by, integrate, normalize,
                          signed_integral_table)
 from .streams import RandomStream
 from .util import thread_cap
@@ -101,7 +101,8 @@ def _weighted_log_sum(alphas, components, start=0.0) -> np.ndarray:
     return out
 
 
-def geometric_pool(problem: PoolProblem, tolerance: float = 1e-8) -> GridDensity:
+def geometric_pool(problem: PoolProblem,
+                   tolerance: float = DEFAULT_TOL) -> GridDensity:
     """Weighted geometric pool of the components.
 
     Returned normalized when the pooled kernel is integrable; otherwise

@@ -53,19 +53,15 @@ def _log_likelihood_on(grid: GridDensity, likelihood: LikelihoodModel) -> np.nda
     return likelihood.log_on(grid.nodes)
 
 
-def _posterior_density(prior: GridDensity, log_like: np.ndarray) -> GridDensity:
-    return prior.with_log_values(prior.log_values + log_like)
-
-
 def posterior_mass(prior: GridDensity, likelihood: LikelihoodModel,
                    tolerance: float = DEFAULT_TOL) -> ProprietyVerdict:
     """Integrate prior times likelihood kernel and classify the result."""
-    post = _posterior_density(prior, _log_likelihood_on(prior, likelihood))
-    return _mass_verdict(post, tolerance)
+    return _mass_verdict(prior, _log_likelihood_on(prior, likelihood), tolerance)
 
 
-def _mass_verdict(post: GridDensity, tolerance: float) -> ProprietyVerdict:
-    res = integrate(post, tolerance)
+def _mass_verdict(prior: GridDensity, log_like: np.ndarray,
+                  tolerance: float) -> ProprietyVerdict:
+    res = integrate(prior.with_log_values(prior.log_values + log_like), tolerance)
     if res.diverged:
         return ProprietyVerdict(res, False,
                                 "posterior mass diverges: " + res.detail)
@@ -85,7 +81,7 @@ def _require_proper(prior: GridDensity, log_like: np.ndarray,
     """Mass verdict of a posterior that a check needs proper, given the
     log likelihood at the prior's nodes; raises InputError with `failure`
     and the diagnostics otherwise."""
-    verdict = _mass_verdict(_posterior_density(prior, log_like), tolerance)
+    verdict = _mass_verdict(prior, log_like, tolerance)
     if not verdict.proper:
         raise InputError(f"{failure} ({verdict.diagnostics})")
     return verdict

@@ -27,11 +27,11 @@ region (the bulk, each cap) are the rows of one weight matrix over its
 nodes, the half row zero between its nodes, so they are one product with
 the values of the integrand, which integrate exponentiates once. The
 first integrate over a density stores the rule in the density's rule
-slot; with_log_values and dataclasses.replace pass the slot on, so every
-posterior, blend, pool and perturbation derived from one grid reuses its
-rule, and the default builders share one slot per layout. A density
-built from caller-supplied nodes has a slot of its own and builds its
-rule on first use; equal nodes give a rule with the same bits.
+slot; with_log_values passes the slot on, so every posterior, blend,
+pool and perturbation derived from one grid reuses its rule, and the
+default builders share one slot per layout. A density built from nodes
+or by dataclasses.replace has a slot of its own and builds its rule on
+first use; equal nodes give a rule with the same bits.
 """
 
 from __future__ import annotations
@@ -362,8 +362,11 @@ def _cap_integral(cap, logg, g, tol, scale):
 def _integrate_table(rule, logg, tol) -> QuadratureResult:
     """Core integration routine on the compactified variable."""
     M = float(logg.max())
+    dropped = ""
     if not M < math.inf:  # +inf/NaN at a node mapped onto t_lo or t_hi: a zero
-        logg = np.where(np.isfinite(logg), logg, -math.inf)
+        at_end = ~(logg < math.inf)
+        dropped = f"{int(at_end.sum())} node(s) mapped onto an endpoint counted as zero"
+        logg = np.where(at_end, -math.inf, logg)
         M = float(logg.max())
     if M == -math.inf:
         return QuadratureResult(value=0.0, abs_error_estimate=0.0, converged=True,
@@ -415,7 +418,7 @@ def _integrate_table(rule, logg, tol) -> QuadratureResult:
     converged = bool(err <= tol * max(abs(val), 1e-300))
     return QuadratureResult(value=value, abs_error_estimate=err_abs,
                             converged=converged, diverged=False,
-                            log_value=logvalue)
+                            log_value=logvalue, detail=dropped)
 
 
 def integrate(density: GridDensity, tolerance: float = DEFAULT_TOL) -> QuadratureResult:

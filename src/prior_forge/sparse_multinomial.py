@@ -420,16 +420,14 @@ def large_m_stability(data_template, m_values, hyper: HyperPriorSpec,
     if any(m < 10 * n for m in ms):
         raise InputError("large-m comparison requires every m >= 10*n")
 
-    def one(m):
+    densities = []
+    for m in ms:
         vp = v_posterior(canonical_counts(m, n, r0), hyper, tolerance=tolerance)
         if not vp.proper:
             raise NumericalError(
                 f"v-posterior improper at m={m}; cannot compare densities"
             )
-        return np.exp(vp.density.log_values)
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        densities = list(pool.map(one, ms))
+        densities.append(np.exp(vp.density.log_values))
     distances = [
         float(np.max(np.abs(densities[i + 1] - densities[i])))
         for i in range(len(densities) - 1)

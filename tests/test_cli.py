@@ -335,6 +335,36 @@ def test_malformed_json_input_exits_one(tmp_path, capsys, command, flag, text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"m": 1000.9, "n": 3, "r0": 1}, "config 1: m must be an integer, got 1000.9"),
+    ({"m": 1000, "n": 3.2, "r0": 1}, "config 1: n must be an integer, got 3.2"),
+    ({"m": 1000, "n": 3, "r0": True}, "config 1: r0 must be an integer, got true"),
+], ids=["m-fraction", "n-fraction", "r0-true"])
+def test_configs_refuse_booleans_and_fractions(tmp_path, capsys, config, message):
+    # int() would run these as (1000, 3, 1)
+    path = tmp_path / "configs.json"
+    path.write_text(json.dumps([{"m": 1000.0, "n": 3, "r0": 1}, config]))
+    code, stdout, err = run(capsys, "sparse-mn", "--configs", str(path))
+    assert (code, stdout, err) == (1, "", f"error: {path}: {message}\n")
+    # an integral float is a count
+    path.write_text(json.dumps([{"m": 1000.0, "n": 3.0, "r0": 1}]))
+    code, stdout, _ = run(capsys, "sparse-mn", "--configs", str(path))
+    assert code == 0 and stdout.splitlines()[-1].startswith("1000,3,1,pareto-v,true,")
+
+
+@pytest.mark.parametrize("components, weights, message", [
+    # float() would read these as Beta(1, 2) and as weights (1, 0)
+    ([{"family": "beta", "a": True, "b": 2}], None,
+     "spec 'component 0': a must be a number"),
+    ([{"family": "beta", "a": 1, "b": 2}, {"family": "beta", "a": 2, "b": 2}],
+     [True, False], "pool weights must be numbers, not true or false"),
+], ids=["parameter", "weights"])
+def test_pool_spec_refuses_booleans(tmp_path, capsys, components, weights, message):
+    spec = write_pool_spec(tmp_path, components, weights)
+    code, stdout, err = run(capsys, "pool", "--spec", spec)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("spec, build", [
     ("beta:a=0.5,b=0.5", lambda: beta_density(0.5, 0.5)),
     ("gamma:shape=2", lambda: gamma_density(2.0)),

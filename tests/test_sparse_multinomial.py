@@ -441,7 +441,12 @@ def test_compare_priors_no_data():
     assert rows[0]["jeffreys_mean"] == pytest.approx(0.25, abs=1e-15)
 
 
-def test_large_m_stability_distances_shrink():
+def test_large_m_stability_distances_shrink(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("large_m_stability started an executor")
+
+    # the m values are evaluated in a plain loop
+    monkeypatch.setattr(smn, "ThreadPoolExecutor", no_pool)
     out = large_m_stability((3, 1), [100, 1000, 10000], HyperPriorSpec("pareto-v"))
     assert out["m_values"] == [100, 1000, 10000]
     assert len(out["distances"]) == 2

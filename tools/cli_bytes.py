@@ -15,7 +15,9 @@ before the first job changes it. In `stderr.txt` the directory of the
 imported package is written as `<prior_forge>`, so that a warning's source
 path does not differ between checkouts; its line number is kept.
 
-Run it on two checkouts and compare the two directories with `diff -r`.
+Run it on two checkouts and compare the two directories with `diff -r`;
+`tools/byte_check.py [REV]` does both runs and the comparison in one
+command, against a git revision's `src/`.
 """
 
 from __future__ import annotations
