@@ -11,8 +11,11 @@ Densities are immutable; transforms (with_log_values, shifted) return new
 instances sharing the grid and its quadrature rule slot (see
 quadrature.QuadratureRule); so do the densities of the default builders
 with equal layouts, whose grid is built once. dataclasses.replace builds a
-density with a slot of its own. The `normalized` flag certifies unit mass
-under this package's quadrature (see quadrature.normalize).
+density with a slot of its own. Each instance also carries a private memo,
+empty at construction and never shared, in which the propriety module
+keeps results that depend only on the density's values (see propriety).
+The `normalized` flag certifies unit mass under this package's quadrature
+(see quadrature.normalize).
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ class GridDensity:
     note: free-form annotation (e.g. impropriety warnings from pooling).
 
     The constructor makes the quadrature rule slot, which with_log_values
-    and shifted carry along; dataclasses.replace makes a fresh one.
+    and shifted carry along; dataclasses.replace makes a fresh one. The
+    memo dict starts empty in the constructor, with_log_values, shifted
+    and dataclasses.replace alike.
     """
 
     domain_lo: float
@@ -83,6 +88,7 @@ class GridDensity:
     log_jacobian: np.ndarray = None
     note: str = ""
     _rule_slot: _RuleSlot = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -126,6 +132,11 @@ class GridDensity:
             arr.setflags(write=False)
         object.__setattr__(self, "_rule_slot",
                            _RuleSlot(self.t_nodes, self.t_lo, self.t_hi))
+        object.__setattr__(self, "_memo", {})
+
+    def __getstate__(self):
+        # the memo may hold weak references, which do not pickle
+        return dict(self.__dict__, _memo={})
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -153,7 +164,7 @@ class GridDensity:
         lv.setflags(write=False)
         derived = object.__new__(GridDensity)
         derived.__dict__.update(self.__dict__, log_values=lv, normalized=normalized,
-                                note=note)
+                                note=note, _memo={})
         return derived
 
     def shifted(self, offset: float, *, normalized=False, note="") -> "GridDensity":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,16 @@ class LikelihoodModel:
     domain_hi: float
     table_nodes: np.ndarray = field(default=None, repr=False, compare=False)
     table_log_values: np.ndarray = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _hash(self) -> int:
+        # models key the propriety memos, and a table's data holds every node
+        # and value, so it is hashed once; numbers hash alike in every
+        # process, so a pickled copy keeps a valid hash
+        return hash((self.data, self.domain_lo, self.domain_hi))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def log_on(self, theta) -> np.ndarray:
         """Log-likelihood kernel at parameter values theta."""

@@ -10,12 +10,20 @@ mean of the component posterior masses, which is finite whenever every
 component posterior is proper. holder_check is that bound for the pool
 ((mu, nu), (alpha, 1 - alpha)): both compute the pooled mass and its
 bound in one routine, so they agree bit for bit.
+
+Each integral is computed once. A prior's private memo (GridDensity._memo)
+keeps the log likelihood at its nodes, keyed by the likelihood (a frozen
+LikelihoodModel, hashed by value), and the mass verdict, keyed by
+(likelihood, tolerance); a pool's first component keeps the pooled mass
+and bound, keyed by (likelihood, tolerance, weights), with weak references
+that match the other components by identity.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,24 +52,40 @@ class ProprietyVerdict:
 
 
 def _log_likelihood_on(grid: GridDensity, likelihood: LikelihoodModel) -> np.ndarray:
-    """The likelihood's log kernel at the grid's nodes."""
-    if not likelihood.contains(grid.domain_lo, grid.domain_hi):
-        raise InputError(
-            "prior support is not contained in the likelihood's parameter "
-            f"domain [{likelihood.domain_lo}, {likelihood.domain_hi}]"
-        )
-    return likelihood.log_on(grid.nodes)
+    """The likelihood's log kernel at the grid's nodes, memoized on grid."""
+    key = ("log_like", likelihood)
+    log_like = grid._memo.get(key)
+    if log_like is None:
+        if not likelihood.contains(grid.domain_lo, grid.domain_hi):
+            raise InputError(
+                "prior support is not contained in the likelihood's parameter "
+                f"domain [{likelihood.domain_lo}, {likelihood.domain_hi}]"
+            )
+        log_like = grid._memo[key] = likelihood.log_on(grid.nodes)
+    return log_like
 
 
 def posterior_mass(prior: GridDensity, likelihood: LikelihoodModel,
                    tolerance: float = DEFAULT_TOL) -> ProprietyVerdict:
     """Integrate prior times likelihood kernel and classify the result."""
-    return _mass_verdict(prior, _log_likelihood_on(prior, likelihood), tolerance)
+    return _mass_verdict(prior, likelihood, _log_likelihood_on(prior, likelihood),
+                         tolerance)
 
 
-def _mass_verdict(prior: GridDensity, log_like: np.ndarray,
-                  tolerance: float) -> ProprietyVerdict:
-    res = integrate(prior.with_log_values(prior.log_values + log_like), tolerance)
+def _mass_verdict(prior: GridDensity, likelihood: LikelihoodModel,
+                  log_like: np.ndarray, tolerance: float) -> ProprietyVerdict:
+    """Verdict of the posterior under likelihood, memoized on prior;
+    log_like is the likelihood at the prior's nodes."""
+    key = ("mass", likelihood, tolerance)
+    verdict = prior._memo.get(key)
+    if verdict is None:
+        verdict = prior._memo[key] = _classify(integrate(
+            prior.with_log_values(prior.log_values + log_like), tolerance))
+    return verdict
+
+
+def _classify(res: QuadratureResult) -> ProprietyVerdict:
+    """The verdict that a posterior-mass integral gives."""
     if res.diverged:
         return ProprietyVerdict(res, False,
                                 "posterior mass diverges: " + res.detail)
@@ -76,27 +100,35 @@ def _mass_verdict(prior: GridDensity, log_like: np.ndarray,
     return ProprietyVerdict(res, True, "finite positive posterior mass")
 
 
-def _require_proper(prior: GridDensity, log_like: np.ndarray,
-                    tolerance: float, failure: str) -> ProprietyVerdict:
+def _require_proper(prior: GridDensity, likelihood: LikelihoodModel,
+                    log_like: np.ndarray, tolerance: float,
+                    failure: str) -> ProprietyVerdict:
     """Mass verdict of a posterior that a check needs proper, given the
     log likelihood at the prior's nodes; raises InputError with `failure`
     and the diagnostics otherwise."""
-    verdict = _mass_verdict(prior, log_like, tolerance)
+    verdict = _mass_verdict(prior, likelihood, log_like, tolerance)
     if not verdict.proper:
         raise InputError(f"{failure} ({verdict.diagnostics})")
     return verdict
 
 
-def _pooled_mass(alphas, components, verdicts, log_like, tolerance) -> tuple:
+def _pooled_mass(alphas, components, verdicts, likelihood, log_like,
+                 tolerance) -> tuple:
     """Mass of the pooled posterior L * prod_i pi_i^a_i over a_i > 0, and
     its Hölder bound prod_i I_i^a_i from the components' proper verdicts.
 
     Returns (mass, bound, bound error, within). within allows both
     quadrature errors plus a few ulps: at a single positive weight both
     sides are one integral reached through different arithmetic, and pure
-    rounding must not read as a violation.
+    rounding must not read as a violation. The result is memoized on
+    components[0] together with weak references to the others.
     """
-    res = integrate(components[0].with_log_values(
+    first, others = components[0], components[1:]
+    key = ("pool", likelihood, tolerance, tuple(alphas))
+    hit = first._memo.get(key)
+    if hit is not None and all(ref() is comp for ref, comp in zip(hit[0], others)):
+        return hit[1]
+    res = integrate(first.with_log_values(
         _weighted_log_sum(alphas, components, log_like)), tolerance)
     if res.diverged:
         # impossible with every component posterior proper; a numerical
@@ -115,7 +147,9 @@ def _pooled_mass(alphas, components, verdicts, log_like, tolerance) -> tuple:
     value = res.value
     slack = res.abs_error_estimate + bound_err \
         + 8.0 * sys.float_info.epsilon * max(value, bound)
-    return res, bound, bound_err, value <= bound + slack
+    out = res, bound, bound_err, value <= bound + slack
+    first._memo[key] = tuple(map(weakref.ref, others)), out
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,12 +188,15 @@ def holder_check(mu: GridDensity, nu: GridDensity, alpha: float,
         raise InputError("mu and nu must share a grid")
     log_like = _log_likelihood_on(mu, likelihood)
     failed = "holder_check precondition failed: posterior under {} is not proper"
-    mu_verdict = _require_proper(mu, log_like, tolerance, failed.format("mu"))
-    nu_verdict = _require_proper(nu, log_like, tolerance, failed.format("nu"))
+    mu_verdict = _require_proper(mu, likelihood, log_like, tolerance,
+                                 failed.format("mu"))
+    nu_verdict = _require_proper(nu, likelihood, log_like, tolerance,
+                                 failed.format("nu"))
 
+    a = float(alpha)  # Python floats, as pooled_propriety's weights are
     lhs_res, rhs, rhs_err, holds = _pooled_mass(
-        (alpha, 1.0 - alpha), (mu, nu), (mu_verdict, nu_verdict), log_like,
-        tolerance)
+        (a, 1.0 - a), (mu, nu), (mu_verdict, nu_verdict), likelihood,
+        log_like, tolerance)
     lhs = lhs_res.value
     return HolderReport(
         lhs=lhs, rhs=rhs, lhs_error=lhs_res.abs_error_estimate, rhs_error=rhs_err,
@@ -197,12 +234,12 @@ def pooled_propriety(problem: PoolProblem, likelihood: LikelihoodModel,
     log_like = _log_likelihood_on(problem.grid, likelihood)
     verdicts = [
         None if a == 0.0 else _require_proper(
-            comp, log_like, tolerance, "pooled_propriety precondition "
+            comp, likelihood, log_like, tolerance, "pooled_propriety precondition "
             f"failed: component {i} has an improper posterior")
         for i, (a, comp) in enumerate(zip(al, problem.components))
     ]
-    res, bound, bound_err, within = _pooled_mass(al, problem.components, verdicts,
-                                                 log_like, tolerance)
+    res, bound, bound_err, within = _pooled_mass(
+        al, problem.components, verdicts, likelihood, log_like, tolerance)
     return PooledProprietyReport(
         pooled_mass=res,
         bound=bound,

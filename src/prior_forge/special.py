@@ -28,17 +28,25 @@ _C1, _C2, _C3, _C4, _C5 = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0
                            1.0 / 1188.0)
 
 
+# Python and numpy real scalars: float() converts each of them as
+# np.asarray(x, dtype=float) does, booleans included
+_REAL_SCALARS = (int, float, np.integer, np.floating, np.bool_)
+
+
 def _check_positive(x, name: str):
+    """x as a float when it is a scalar, else as a float array; InputError
+    unless it is nonempty and every element finite and strictly positive."""
+    if isinstance(x, _REAL_SCALARS):
+        v = float(x)
+        if not (math.isfinite(v) and v > 0.0):
+            raise InputError(f"{name} must be finite and strictly positive")
+        return v
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise InputError(f"{name} must be nonempty")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InputError(f"{name} must be finite and strictly positive")
-    return arr
-
-
-def _is_scalar(x, arr) -> bool:
-    return np.isscalar(x) or arr.ndim == 0
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _elementwise(fn, *arrays):
@@ -55,10 +63,8 @@ def log_gamma(x):
     [1e-6, 1e6]. For large x the absolute scale of ln Gamma makes a pure
     absolute bound meaningless in double precision.
     """
-    arr = _check_positive(x, "x")
-    if _is_scalar(x, arr):
-        return math.lgamma(float(arr))
-    return _gammaln(arr)
+    v = _check_positive(x, "x")
+    return math.lgamma(v) if isinstance(v, float) else _gammaln(v)
 
 
 def _stirling_correction(z: float) -> float:
@@ -90,8 +96,8 @@ def log_beta(a, b):
     """
     aa = _check_positive(a, "a")
     bb = _check_positive(b, "b")
-    if _is_scalar(a, aa) and _is_scalar(b, bb):
-        return _scalar_log_beta(float(aa), float(bb))
+    if isinstance(aa, float) and isinstance(bb, float):
+        return _scalar_log_beta(aa, bb)
     return _elementwise(_scalar_log_beta, aa, bb)
 
 

@@ -1,11 +1,16 @@
+import dataclasses
+import gc
 import json
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prior_forge import propriety
 from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
                                  gamma_density, halfline_density, improper_flat)
 from prior_forge.errors import InputError, NumericalError
@@ -82,6 +87,7 @@ def test_tabulated_likelihoods_compare_and_hash_by_value():
     a = tabulated_likelihood(x, lv, 0.0, math.inf)
     b = tabulated_likelihood(x.copy(), lv.copy(), 0.0, math.inf)
     assert a == b and hash(a) == hash(b)
+    assert hash(pickle.loads(pickle.dumps(a))) == hash(b)
     assert len({a, b, poisson_counts([1, 2])}) == 2
     for other in (tabulated_likelihood(x, lv + 1.0, 0.0, math.inf),
                   tabulated_likelihood(x * 2.0, lv, 0.0, math.inf),
@@ -178,10 +184,15 @@ def test_holder_masses_match_closed_forms(case, alpha):
     assert got == pytest.approx([math.exp(w) for w in want], rel=1e-8)
 
 
+def _fresh(d):
+    """d's values on a new instance, whose memo is empty."""
+    return d.with_log_values(d.log_values)
+
+
 def test_holder_check_evaluates_the_likelihood_once(monkeypatch):
     mu, nu = beta_density(0.5, 0.5), beta_density(2.0, 1.0)
     lik = binomial_counts(3, 10)
-    want = (posterior_mass(mu, lik).mass, posterior_mass(nu, lik).mass)
+    want = (posterior_mass(_fresh(mu), lik).mass, posterior_mass(_fresh(nu), lik).mass)
     calls = []
     log_on = LikelihoodModel.log_on
 
@@ -193,6 +204,8 @@ def test_holder_check_evaluates_the_likelihood_once(monkeypatch):
     rep = holder_check(mu, nu, 0.4, lik)
     assert len(calls) == 1
     assert (rep.mu_mass.mass, rep.nu_mass.mass) == want
+    holder_check(mu, nu, 0.4, lik)
+    assert len(calls) == 1
 
 
 def test_holder_alpha_validation():
@@ -295,14 +308,122 @@ def _seeded_pool_cases(seed, count):
 
 
 def test_holder_check_and_pooled_propriety_agree_bitwise():
+    # fresh instances, so that pooled_propriety computes its masses itself
+    # instead of finding holder_check's in the memo
     for mu, nu, alpha, lik in _seeded_pool_cases(17, 40):
         rep = holder_check(mu, nu, alpha, lik)
         pooled = pooled_propriety(
-            PoolProblem((mu, nu), PoolWeights((alpha, 1.0 - alpha))), lik)
+            PoolProblem((_fresh(mu), _fresh(nu)), PoolWeights((alpha, 1.0 - alpha))),
+            lik)
         assert pooled.pooled_mass.value == rep.lhs
         assert pooled.pooled_mass.abs_error_estimate == rep.lhs_error
         assert pooled.bound == rep.rhs and pooled.bound_error == rep.rhs_error
         assert rep.holds and pooled.bound_satisfied
+
+
+def _count_integrals(monkeypatch):
+    calls = []
+    integrate = propriety.integrate
+
+    def counting(density, tolerance):
+        calls.append(density)
+        return integrate(density, tolerance)
+
+    monkeypatch.setattr(propriety, "integrate", counting)
+    return calls
+
+
+def _case(mu, nu, alpha, lik):
+    """A criterion-01 case: holder_check, then pooled_propriety on its pool."""
+    return (holder_check(mu, nu, alpha, lik), pooled_propriety(
+        PoolProblem((mu, nu), PoolWeights((alpha, 1.0 - alpha))), lik))
+
+
+def test_a_pool_case_integrates_each_posterior_once(monkeypatch):
+    mu, nu = beta_density(2.5, 3.0), beta_density(4.0, 2.0)
+    lik = binomial_counts(3, 7)
+    calls = _count_integrals(monkeypatch)
+    _case(mu, nu, 0.3, lik)
+    assert len(calls) == 3
+    # an alpha sweep over fixed (mu, nu, L) integrates the two component
+    # posteriors once and each pool once
+    alphas = (0.1, 0.45, 0.8, 0.3)
+    for alpha in alphas:
+        _case(mu, nu, alpha, lik)
+        posterior_mass(mu, lik)
+    assert len(calls) == 2 + len(alphas)
+
+
+def test_derived_densities_start_with_an_empty_memo():
+    d = beta_density(2.0, 3.0)
+    lik = binomial_counts(1, 4)
+    holder_check(d, beta_density(3.0, 2.0), 0.5, lik)
+    mass = posterior_mass(d, lik).mass.value
+    assert d._memo
+    derived = (d.with_log_values(d.log_values), d.shifted(1.0), dataclasses.replace(d),
+               pickle.loads(pickle.dumps(d)))
+    assert [x._memo for x in derived] == [{}] * 4
+    assert posterior_mass(d.shifted(1.0), lik).mass.value == pytest.approx(
+        math.e * mass, rel=1e-12)
+
+
+def test_a_memoized_failing_verdict_raises_the_same_error(monkeypatch):
+    base = exp_tilt_density(0.0)
+    improper = base.with_log_values(base.nodes**2)
+    good = improper_flat(-math.inf, math.inf)
+    unconverged = beta_density(2.0, 2.0)  # relative error ~4.1e-08 under 0 of 30
+    cases = [
+        (lambda: holder_check(good, improper, 0.5, normal_location((0.0,))),
+         r"nu is not proper \(posterior mass diverges"),
+        (lambda: pooled_propriety(PoolProblem((improper, good), PoolWeights((0.5, 0.5))),
+                                  normal_location((0.0,))), "component 0"),
+        (lambda: holder_check(unconverged, beta_density(3.0, 3.0), 0.5,
+                              binomial_counts(0, 30)), "did not reach"),
+    ]
+    calls = _count_integrals(monkeypatch)
+    for run, fragment in cases:
+        texts, counts = [], []
+        for _ in range(2):
+            with pytest.raises(InputError, match=fragment) as err:
+                run()
+            texts.append(str(err.value))
+            counts.append(len(calls))
+        # the second call finds the verdict in the memo
+        assert texts[0] == texts[1] and counts[0] == counts[1]
+
+
+def test_the_pool_memo_holds_no_other_density():
+    mu, nu, other = beta_density(2.0, 3.0), beta_density(3.0, 2.0), beta_density(5, 5)
+    lik = binomial_counts(2, 5)
+    _case(mu, nu, 0.4, lik)
+    ref = weakref.ref(nu)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del nu
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    # the pool entry of (mu, nu) is not taken for (mu, other)
+    got = _case(mu, other, 0.4, lik)
+    assert repr(got) == repr(_case(_fresh(mu), _fresh(other), 0.4, lik))
+
+
+def test_memoized_results_equal_fresh_computations_bitwise():
+    cases = list(_seeded_pool_cases(23, 24))
+    for i, (mu, nu, alpha, lik) in enumerate(cases):
+        # the same instances under a second likelihood of the same family,
+        # a second weight and with the components swapped
+        runs = [(mu, nu, alpha, lik), (mu, nu, alpha, cases[i - 2][3]),
+                (mu, nu, alpha / 2.0, lik), (nu, mu, 1.0 - alpha, lik)]
+        memo = [(*_case(*run), posterior_mass(run[0], run[3])) for run in runs + runs]
+        fresh = []
+        for a, b, w, L in runs:
+            fresh.append((holder_check(_fresh(a), _fresh(b), w, L),
+                          _case(_fresh(a), _fresh(b), w, L)[1],
+                          posterior_mass(_fresh(a), L)))
+        assert repr(memo) == repr(fresh + fresh)
 
 
 def test_two_cell_multinomial_is_the_binomial_kernel():

@@ -177,6 +177,26 @@ def test_vectorized_over_arrays():
     assert abs(out[1]) == 0.0
 
 
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return type(value), value.hex()
+
+
+@pytest.mark.parametrize("x", [0, -1, math.inf, math.nan, 1e-300, True, False,
+                               np.float32(2.5), np.int64(3), 2.5])
+def test_scalar_and_zero_dim_array_arguments_agree(x):
+    # scalars take a shortcut past the array checks; it must accept, refuse
+    # and compute exactly as the array path does
+    zero_dim = np.asarray(x)
+    assert _outcome(log_gamma, x) == _outcome(log_gamma, zero_dim)
+    for args, arrays in [((x, 3.1), (zero_dim, 3.1)), ((2.5, x), (2.5, zero_dim)),
+                         ((x, x), (zero_dim, zero_dim))]:
+        assert _outcome(log_beta, *args) == _outcome(log_beta, *arrays)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_rejects_nonpositive_arguments(bad):
     with pytest.raises(InputError):

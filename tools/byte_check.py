@@ -10,6 +10,9 @@ hold the same files wherever the CLI behaves the same. Every file that
 differs, or exists on one side only, is listed by its path below the
 output directory (`NNN-job/file`). Exit status: 0 when all files agree,
 1 when any differ, 2 when a run fails.
+
+`tools/result_check.py [REV]` makes the same comparison one level down,
+on the float bits of the propriety checks' results.
 """
 
 from __future__ import annotations
