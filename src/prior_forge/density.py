@@ -44,17 +44,18 @@ EDGE_ZONE_FRAC = 1.0 / 32.0
 
 
 class _RuleSlot:
-    """The quadrature rule of one node set, filled on first use.
+    """The quadrature rule of one node set, filled on first use, and whether
+    log dx/dt is zero at every node, as for an identity map.
 
     A slot is made with each density built from nodes and shared by every
     density derived from it through with_log_values (see quadrature._rule).
     """
 
-    __slots__ = ("t_nodes", "t_lo", "t_hi", "rule")
+    __slots__ = ("t_nodes", "t_lo", "t_hi", "unit_jacobian", "rule")
 
-    def __init__(self, t_nodes, t_lo, t_hi):
+    def __init__(self, t_nodes, t_lo, t_hi, log_jacobian):
         self.t_nodes, self.t_lo, self.t_hi = t_nodes, t_lo, t_hi
-        self.rule = None
+        self.unit_jacobian, self.rule = not log_jacobian.any(), None
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class GridDensity:
         for arr in (self.nodes, self.log_values, self.t_nodes, self.log_jacobian):
             arr.setflags(write=False)
         object.__setattr__(self, "_rule_slot",
-                           _RuleSlot(self.t_nodes, self.t_lo, self.t_hi))
+                           _RuleSlot(self.t_nodes, self.t_lo, self.t_hi, logjac))
         object.__setattr__(self, "_memo", {})
 
     def __getstate__(self):

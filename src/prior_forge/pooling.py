@@ -36,9 +36,11 @@ class PoolWeights:
         al = np.asarray(self.alphas, dtype=float)
         if al.ndim != 1 or len(al) == 0:
             raise InputError("weights must form a nonempty 1-D vector")
-        if np.any(al < 0) or not np.all(np.isfinite(al)):
+        # min catches negatives and NaN; an infinite sum is an inf weight or overflow
+        if not al.min() >= 0 or ((total := float(al.sum())) == math.inf
+                                 and not np.isfinite(al).all()):
             raise InputError("weights must be finite and nonnegative")
-        if abs(float(al.sum()) - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InputError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "alphas", al)
         al.setflags(write=False)

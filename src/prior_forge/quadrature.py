@@ -10,8 +10,8 @@ offset and the true endpoint is extrapolated. Integrable singularities
 (p > -1) converge; exponents at or below -0.999 are reported as
 divergence at either endpoint. At the lower endpoint only, so are
 truncated partial integrals that keep growing as the window doubles
-toward it (the truncation ladder); the upper endpoint is guarded by the
-exponent fit alone.
+toward it (the truncation ladder), judged on the three windows nearest
+it; the upper endpoint is guarded by the exponent fit alone.
 
 Error estimates combine Richardson comparison against a half-resolution
 pass (fourth-order rule: |I - I_half| / 8, region-aligned so the two
@@ -20,8 +20,9 @@ passes share cap boundaries) with explicit extension-sensitivity terms.
 to the integral's magnitude.
 
 Everything above that depends on the grid alone is a QuadratureRule: the
-cap extents, each cap's distances from its endpoint, the truncation-ladder
-windows, and the weights of every pass. The cubic weights come in closed
+cap extents, each cap's distances from its endpoint with their logs taken
+relative to the innermost one, the three ladder windows the test reads,
+and the weights of every pass. The cubic weights come in closed
 form per cell and are summed to node weights. The two passes of each
 region (the bulk, each cap) are the rows of one weight matrix over its
 nodes, the half row zero between its nodes, so they are one product with
@@ -36,6 +37,7 @@ first use; equal nodes give a rule with the same bits.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -177,8 +179,8 @@ def _pass_weights(x, w_full, half):
 def _passes(w, g):
     """Full and half-resolution integrals of values g: einsum's own loop,
     not BLAS, whose bits can change with its thread count."""
-    full, half = np.einsum("ij,j->i", w, g)
-    return float(full), float(half)
+    full, half = np.einsum("ij,j->i", w, g).tolist()
+    return full, half
 
 
 @dataclass(frozen=True)
@@ -186,39 +188,27 @@ class _Cap:
     """The nodes of one endpoint cap and the weights of both its passes.
 
     d: node distances from the endpoint, increasing, d[0] > 0.
+    log_rel: log(d) - log(d[0]), the only form of the logs _cap_integral reads.
     w: pass weights at d (see _pass_weights).
+    fit: d[0] and log_rel at 1, 2 (1 on a two-node cap) and -1, as floats.
     """
 
     d: np.ndarray
-    log_d: np.ndarray
+    log_rel: np.ndarray
     w: np.ndarray
+    fit: tuple
 
     @classmethod
     def build(cls, d):
         d = np.array(d)  # not a view that would keep the whole grid alive
-        return cls(d, np.log(d), _pass_weights(d, _node_weights(d), _decimate_idx(len(d))))
+        log_d = np.log(d)
+        rel = log_d - log_d[0]
+        return cls(d, rel, _pass_weights(d, _node_weights(d), _decimate_idx(len(d))),
+                   (float(d[0]), *rel[[1, min(2, len(d) - 1), -1]].tolist()))
 
     def passes(self, g):
         """Full and half-resolution integrals of values g at the cap nodes."""
         return _passes(self.w, g)
-
-
-@dataclass(frozen=True)
-class _Ladder:
-    """Doubling windows of the truncation ladder at one offset endpoint,
-    as consecutive cell windows of the full pass in increasing cell order
-    (see _window_weights)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def build(cls, w, bounds):
-        return cls(*_window_weights(w, bounds)) if len(bounds) > 1 else None
-
-    def masses(self, g):
-        return np.add.reduceat(self.weights * g[self.nodes], self.starts)
 
 
 @dataclass(frozen=True)
@@ -232,8 +222,9 @@ class QuadratureRule:
     bulk / w_bulk: the slice of nodes the stencils of the bulk cells
         (between the caps) touch, and the pass weights there.
     lower / upper: the endpoint caps (None when empty).
-    ladder_lo: the truncation ladder's windows at an offset lower endpoint
-        (None when there are none).
+    ladder_lo: (nodes, weights, starts) of the three truncation-ladder
+        windows nearest an offset lower endpoint, the only ones its test
+        reads (see _window_weights); None with fewer than four windows.
     """
 
     w_all: np.ndarray
@@ -241,7 +232,7 @@ class QuadratureRule:
     w_bulk: np.ndarray
     lower: _Cap
     upper: _Cap
-    ladder_lo: _Ladder
+    ladder_lo: tuple
 
     @classmethod
     def build(cls, t, t_lo, t_hi):
@@ -258,13 +249,14 @@ class QuadratureRule:
         bulk = slice(int(bulk_nodes[0]), int(bulk_nodes[-1]) + 1)
         # the half pass's nodes m_lo .. n - 1 - m_hi lie in that slice
         half = m_lo - bulk.start + _decimate_idx(n - m_hi - m_lo)
+        ladder = _ladder_bounds(d_lo, d_lo[-1] / 8)
         return cls(
             w_all=_window_weights(w, [0, ncell])[1],
             bulk=bulk,
             w_bulk=_pass_weights(t[bulk], w_bulk, half),
             lower=_Cap.build(d_lo[: m_lo + 1]) if m_lo > 0 else None,
             upper=_Cap.build(d_hi[: m_hi + 1]) if m_hi > 0 else None,
-            ladder_lo=_Ladder.build(w, _ladder_bounds(d_lo, d_lo[-1] / 8)),
+            ladder_lo=_window_weights(w, ladder[:4]) if len(ladder) > 4 else None,
         )
 
 
@@ -304,85 +296,92 @@ def _cap_integral(cap, logg, g, tol, scale):
     nodes is integrated in closed form over [0, d_max] and the cubic rule
     only sees the remainder, which vanishes at the fit nodes and carries
     an extra power of d, so the geometric cells resolve it to near
-    machine level.
+    machine level. Two innermost nodes whose distances share one log give
+    no fit: like a zero innermost node, they take the plain cubic with a
+    rectangle extension, and detail says so.
     """
-    d, lend = cap.d, cap.log_d
+    d0, rel1, rel2, rel_end = cap.fit
+    lead = logg[:3].tolist()
+    l0, l1 = lead[0], lead[1]
+    ext = float(g[0]) * d0  # rectangle over the sliver [0, d0]
 
     def plain():
         v, v2 = cap.passes(g)
         return v, abs(v - v2) / 8.0
 
-    if not np.isfinite(logg[0]) or not np.isfinite(logg[1]):
+    if not (math.isfinite(l0) and math.isfinite(l1)) or rel1 == 0.0:
         v, e = plain()
-        return v + g[0] * d[0], e + g[0] * d[0], False, ""
-    p = (logg[1] - logg[0]) / (lend[1] - lend[0])
+        note = "" if rel1 else "innermost distances share one log, so no exponent fit: " \
+            "plain cubic with rectangle extension"
+        return v + ext, e + ext, False, note
+    p = (l1 - l0) / rel1
     if p <= -0.999:
-        proj = g[0] * d[0] * 50.0
+        proj = ext * 50.0
         if proj > 10.0 * tol * scale:
             return 0.0, 0.0, True, f"endpoint exponent {max(p, -1e9):.3f} <= -0.999"
         v, e = plain()
         return v, e + proj, False, ""
-    if p > 6.0 or p * (lend[-1] - lend[0]) > 40.0:
+    if p > 6.0 or p * rel_end > 40.0:
         # steep growth away from the endpoint: the sliver below d[0] is
         # negligible and the power-law model would span too many decades
         # for stable subtraction
-        ext = g[0] * d[0] / (p + 1.0)
         v, e = plain()
-        return v + ext, e + ext, False, ""
+        return v + ext / (p + 1.0), e + ext / (p + 1.0), False, ""
 
     # remainder after subtracting the fitted power law, computed stably:
     # r = g - exp(lmodel) = -g * expm1(lmodel - logg) where both are finite
     # (a finite node whose g underflows keeps that form); at a zero node,
     # where that product is -0.0, r = -exp(lmodel)
-    lmodel = logg[0] + p * (lend - lend[0])
+    lmodel = l0 + p * cap.log_rel
     r = -g * np.expm1(np.minimum(lmodel - logg, 700.0))
     zero = logg == -math.inf
     r[zero] = -np.exp(lmodel[zero])
-    model_total = math.exp(logg[0] + (p + 1.0) * (lend[-1] - lend[0])) \
-        * d[0] / (p + 1.0)
+    model_total = math.exp(l0 + (p + 1.0) * rel_end) * d0 / (p + 1.0)
     rem, rem2 = cap.passes(r)
     v = model_total + rem
     err = abs(rem - rem2) / 8.0
-    # remainder mass in the sliver [0, d0]: the remainder vanishes at the
-    # two fit nodes, so the third node sets its local magnitude
-    if len(d) >= 3:
-        err += abs(r[2]) * d[0]
-    # extension sensitivity: refit the exponent from the first and third
-    # nodes; slowly varying non-power tails make the two sliver
-    # extrapolations disagree, and that must surface in the error bound
-    if len(d) >= 3 and np.isfinite(logg[2]):
-        p_alt = (logg[2] - logg[0]) / (lend[2] - lend[0])
-        if -0.999 < p_alt:
-            ext_a = g[0] * d[0] / (p + 1.0)
-            ext_b = g[0] * d[0] / (p_alt + 1.0)
-            err += abs(ext_a - ext_b)
+    if len(lead) == 3:
+        # remainder mass in the sliver [0, d0]: the remainder vanishes at
+        # the two fit nodes, so the third node sets its local magnitude
+        err += abs(float(r[2])) * d0
+        # extension sensitivity: refit the exponent from the first and
+        # third nodes; slowly varying non-power tails make the two sliver
+        # extrapolations disagree, and that must surface in the error bound
+        if math.isfinite(lead[2]):
+            p_alt = (lead[2] - l0) / rel2
+            if -0.999 < p_alt:
+                err += abs(ext / (p + 1.0) - ext / (p_alt + 1.0))
     return v, err, False, ""
 
 
-def _integrate_table(rule, logg, tol) -> QuadratureResult:
-    """Core integration routine on the compactified variable."""
+def _diverged(detail) -> QuadratureResult:
+    return QuadratureResult(value=math.inf, abs_error_estimate=math.inf,
+                            converged=False, diverged=True,
+                            log_value=math.inf, detail=detail)
+
+
+def _integrate_table(rule, lv, lj, tol) -> QuadratureResult:
+    """Core integration routine on the compactified variable, over log
+    values lv plus log Jacobian lj (None when it is zero)."""
+    logg = lv if lj is None else lv + lj
     M = float(logg.max())
-    dropped = ""
+    notes = []
     if not M < math.inf:  # +inf/NaN at a node mapped onto t_lo or t_hi: a zero
         at_end = ~(logg < math.inf)
-        dropped = f"{int(at_end.sum())} node(s) mapped onto an endpoint counted as zero"
+        notes.append(f"{int(at_end.sum())} node(s) mapped onto an endpoint counted as zero")
         logg = np.where(at_end, -math.inf, logg)
         M = float(logg.max())
     if M == -math.inf:
         return QuadratureResult(value=0.0, abs_error_estimate=0.0, converged=True,
                                 diverged=False, log_value=-math.inf,
                                 detail="zero integrand")
-    lg = logg - M
+    lg = np.subtract(logg, M, out=None if logg is lv else logg)  # never lv in place
     g = np.exp(lg)  # exp(-inf) = 0 marks the zeros
 
     # bulk first: its magnitude anchors the divergence significance scale
-    bulk, bulk2 = _passes(rule.w_bulk, g[rule.bulk])
-    err = abs(bulk - bulk2) / 8.0
-    scale = max(abs(bulk), 1e-300)
-
-    val = bulk
-    diverged = False
-    detail = ""
+    val, bulk2 = _passes(rule.w_bulk, g[rule.bulk])
+    err = abs(val - bulk2) / 8.0
+    scale = max(abs(val), 1e-300)
     for side, cap, lg_out, g_out in (("lower", rule.lower, lg, g),
                                      ("upper", rule.upper, lg[::-1], g[::-1])):
         if cap is None:
@@ -390,35 +389,30 @@ def _integrate_table(rule, logg, tol) -> QuadratureResult:
         m = len(cap.d)
         v, e, dv, de = _cap_integral(cap, lg_out[:m], g_out[:m], tol, scale)
         if dv:
-            diverged, detail = True, f"{side} {de}"
-            break
+            return _diverged(f"{side} {de}")
+        if de:
+            notes.append(f"{side} {de}")
         val += v
         err += e
 
-    if not diverged and rule.ladder_lo is not None:
-        # truncation ladder: the masses of doubling windows anchored at the
-        # offset lower endpoint, ordered toward it; increments that stay
-        # significant and shrink no faster than ratio 0.9995 (the rate the
-        # -0.999 exponent cutoff allows) mean non-integrable mass. The
-        # upper endpoint has no ladder: the cap's exponent fit guards it.
-        inc = rule.ladder_lo.masses(g)[::-1]
-        if len(inc) >= 4:
-            last = inc[-3:]
-            if np.all(last > 10.0 * tol * scale) and np.all(last[1:] >= 0.9995 * last[:-1]):
-                diverged, detail = True, "lower tail contributions not stabilizing"
+    if rule.ladder_lo is not None:
+        # truncation ladder: the masses of the three doubling windows
+        # nearest the offset lower endpoint; increments that stay
+        # significant and shrink toward it no faster than ratio 0.9995 (the
+        # rate the -0.999 exponent cutoff allows) mean non-integrable mass.
+        # The upper endpoint has no ladder: the cap's exponent fit guards it.
+        nodes, weights, starts = rule.ladder_lo
+        near, mid, far = np.add.reduceat(weights * g[nodes], starts).tolist()
+        if min(near, mid, far) > 10.0 * tol * scale \
+                and mid >= 0.9995 * far and near >= 0.9995 * mid:
+            return _diverged("lower tail contributions not stabilizing")
 
-    if diverged:
-        return QuadratureResult(value=math.inf, abs_error_estimate=math.inf,
-                                converged=False, diverged=True,
-                                log_value=math.inf, detail=detail)
     logvalue = math.log(val) + M if val > 0 else -math.inf
-    with np.errstate(over="ignore"):
-        value = float(val * np.exp(M))
-        err_abs = float(err * np.exp(M))
-    converged = bool(err <= tol * max(abs(val), 1e-300))
-    return QuadratureResult(value=value, abs_error_estimate=err_abs,
-                            converged=converged, diverged=False,
-                            log_value=logvalue, detail=dropped)
+    with np.errstate(over="ignore") if M > 709.0 else contextlib.nullcontext():
+        e_M = float(np.exp(M))  # inf only from M ~ 709.78 on
+    return QuadratureResult(value=val * e_M, abs_error_estimate=err * e_M,
+                            converged=bool(err <= tol * max(abs(val), 1e-300)),
+                            diverged=False, log_value=logvalue, detail="; ".join(notes))
 
 
 def integrate(density: GridDensity, tolerance: float = DEFAULT_TOL) -> QuadratureResult:
@@ -431,8 +425,8 @@ def integrate(density: GridDensity, tolerance: float = DEFAULT_TOL) -> Quadratur
     """
     if not (0 < tolerance < 1):
         raise InputError("tolerance must be in (0, 1)")
-    logg = density.log_values + density.log_jacobian
-    return _integrate_table(_rule(density), logg, tolerance)
+    lj = None if density._rule_slot.unit_jacobian else density.log_jacobian
+    return _integrate_table(_rule(density), density.log_values, lj, tolerance)
 
 
 def normalize(density: GridDensity, tolerance: float = DEFAULT_TOL) -> GridDensity:

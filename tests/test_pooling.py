@@ -28,6 +28,34 @@ def test_weights_validation():
         equal_weights(0)
 
 
+_SHAPE = "weights must form a nonempty 1-D vector"
+_SIGN = "weights must be finite and nonnegative"
+_SUM = "weights must sum to 1 within 1e-12"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.parametrize("alphas, message", [
+    ((), _SHAPE), (((0.5, 0.5),), _SHAPE), (0.5, _SHAPE),
+    ((-0.1, 1.1), _SIGN), ((math.nan, 1.0), _SIGN), ((math.inf, 0.0), _SIGN),
+    ((math.inf, -math.inf), _SIGN), ((-math.inf, 1.0), _SIGN), ((1e308, -1e308), _SIGN),
+    ((0.5, math.nan, -1.0), _SIGN), ((1e308, 1e308, math.inf), _SIGN),
+    ((1e308, 1e308, -1.0), _SIGN),
+    # the sum overflows, but every weight is finite and nonnegative
+    ((1e308, 1e308), _SUM), ((0.5, 0.6), _SUM), ((1.0 + 2e-12,), _SUM),
+])
+def test_invalid_weights_raise_their_message(alphas, message):
+    with pytest.raises(InputError) as info:
+        PoolWeights(alphas)
+    assert str(info.value) == message
+
+
+def test_weights_accept_signed_zeros_booleans_and_float32():
+    for alphas in ((1.0, -0.0), (True, False), np.array([0.25, 0.75], dtype=np.float32),
+                   (0.5, 0.5 - 1e-13)):
+        w = PoolWeights(alphas)
+        assert w.alphas.dtype == float and not w.alphas.flags.writeable
+
+
 def test_equal_weights_sum_exactly_one():
     for k in (1, 2, 3, 7, 13):
         w = equal_weights(k)

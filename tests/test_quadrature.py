@@ -7,8 +7,10 @@ test.
 
 import math
 import os
+import pickle
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,8 +32,8 @@ from prior_forge.density import (GridDensity, _bounded_grid, _halfline_grid,
 from prior_forge.likelihoods import binomial_counts
 from prior_forge.propriety import posterior_mass
 from prior_forge.quadrature import (QuadratureResult, QuadratureRule, _cap_integral,
-                                    _cell_weights, _decimate_idx, _node_weights,
-                                    _rule, _window_weights, cdf_at)
+                                    _cell_weights, _decimate_idx, _ladder_bounds,
+                                    _node_weights, _rule, _window_weights, cdf_at)
 
 
 def kernel_beta(a, b):
@@ -432,8 +434,10 @@ def test_default_builders_share_one_grid():
 
 def reference_integrate(density, tol=1e-8):
     """integrate() as one weighted sum per pass: each pass gathers its own
-    nodes and each cap exponentiates its own slice. The cap extents and the
-    ladder come from the density's rule; every pass weight is built here."""
+    nodes, each cap exponentiates its own slice and fits from its own log
+    distances, and the truncation ladder sums every doubling window. Only
+    the cap extents come from the density's rule; every pass weight, the
+    cap scalars and the ladder windows are built here."""
     rule, t = _rule(density), density.t_nodes
     n = len(t)
     m_lo, m_hi = (len(c.d) - 1 if c is not None else 0 for c in (rule.lower, rule.upper))
@@ -454,16 +458,22 @@ def reference_integrate(density, tol=1e-8):
             continue
         d, half = cap.d, _decimate_idx(len(cap.d))
         w_full, w_half = _node_weights(d), _node_weights(d[half])
-        per_pass = SimpleNamespace(d=d, log_d=cap.log_d, passes=lambda v: (
-            float(np.sum(w_full * v)), float(np.sum(w_half * v[half]))))
+        log_rel = np.log(d) - np.log(d[0])
+        per_pass = SimpleNamespace(
+            d=d, log_rel=log_rel, fit=(float(d[0]), float(log_rel[1]),
+                                       float(log_rel[min(2, len(d) - 1)]), float(log_rel[-1])),
+            passes=lambda v: (float(np.sum(w_full * v)), float(np.sum(w_half * v[half]))))
         lg_cap = lg_out[: len(d)]
         g_cap = np.where(np.isfinite(lg_cap), np.exp(lg_cap), 0.0)
         v, e, dv, de = _cap_integral(per_pass, lg_cap, g_cap, tol, scale)
         if dv:
             return QuadratureResult(math.inf, math.inf, False, True, math.inf, f"{side} {de}")
         val, err = val + v, err + e
-    if rule.ladder_lo is not None:
-        inc = rule.ladder_lo.masses(g)[::-1]
+    d_lo = t - density.t_lo
+    bounds = _ladder_bounds(d_lo, d_lo[-1] / 8)
+    if len(bounds) > 1:
+        nodes, weights, starts = _window_weights(_cell_weights(t), bounds)
+        inc = np.add.reduceat(weights * g[nodes], starts)[::-1]
         last = inc[-3:]
         if len(inc) >= 4 and np.all(last > 10.0 * tol * scale) \
                 and np.all(last[1:] >= 0.9995 * last[:-1]):
@@ -523,6 +533,69 @@ def test_a_node_at_the_mapped_endpoint_counts_as_zero():
     assert math.isfinite(got.value) and math.isclose(got.value, want.value, rel_tol=1e-14)
     assert (got.converged, got.diverged) == (want.converged, want.diverged)
     assert got.detail == "1 node(s) mapped onto an endpoint counted as zero"
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_innermost_distances_with_one_log_take_the_plain_cap(side):
+    # the two nodes nearest the endpoint are one ulp apart, so the logs of
+    # their distances are equal and give no exponent fit
+    x = bounded_nodes(0.0, 1.0)
+    x[1] = np.nextafter(x[0], 1.0)
+    assert np.log(x[1]) == np.log(x[0])
+    lv = np.log(x) + np.log1p(-x)  # the Beta(2, 2) kernel, mass 1/6
+    d = (GridDensity(0.0, 1.0, x, lv) if side == "lower"
+         else GridDensity(-1.0, 0.0, -x[::-1], lv[::-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate(d)
+    assert res.converged and not res.diverged
+    assert abs(res.value - 1.0 / 6.0) <= 1e-14
+    assert res.detail == f"{side} innermost distances share one log, so no exponent " \
+        "fit: plain cubic with rectangle extension"
+
+
+def test_a_bounded_grid_with_its_own_map_adds_its_jacobian():
+    # an identity map's all-zero log Jacobian is skipped; a caller's own map
+    # on a bounded support is not
+    x = bounded_nodes(0.0, 1.0)
+    lv = np.log(x) + np.log1p(-x)
+    plain = GridDensity(0.0, 1.0, x, lv)
+    mapped = GridDensity(0.0, 1.0, x, lv, t_nodes=x, t_lo=0.0, t_hi=1.0,
+                         log_jacobian=np.full_like(x, 2.0))
+    assert math.isclose(integrate(mapped).log_value, integrate(plain).log_value + 2.0,
+                        rel_tol=0.0, abs_tol=1e-13)
+
+
+def test_integrate_leaves_a_writeable_density_unchanged():
+    # an unpickled density's arrays are writeable; integrate shifts only
+    # its own temporaries in place
+    for d in (beta_density(2.0, 3.0), gamma_density(2.0)):
+        back = pickle.loads(pickle.dumps(d))
+        before = back.log_values.copy()
+        assert integrate(back) == integrate(d)
+        assert np.array_equal(back.log_values, before)
+
+
+def test_the_truncation_ladder_flags_a_tail_the_cap_fit_misses():
+    # x = 2**(k/8): every eighth node is twice as far from 0, so the
+    # ladder's doubling windows are exact. The innermost node is pulled
+    # down, so the cap's two-node fit is steep and leaves 1/x unflagged.
+    x = 2.0 ** (np.arange(-320, 0) / 8.0)
+    lx = np.log(x)
+
+    def verdict(lv):
+        lv = lv.copy()
+        lv[0] -= 5.0
+        res = integrate(GridDensity(0.0, 1.0, x, lv))
+        return res.diverged, res.detail
+
+    flagged = (True, "lower tail contributions not stabilizing")
+    assert verdict(-lx) == flagged
+    assert verdict(-0.5 * lx) == (False, "")
+    # 1/x only below 2**-24 and x**-1/2 beyond: the windows nearest the
+    # endpoint decide, and the farthest ones shrink toward it
+    knee = -24.0 * math.log(2.0)
+    assert verdict(np.where(lx < knee, -lx, -0.5 * (lx + knee))) == flagged
 
 
 def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):

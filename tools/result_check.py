@@ -19,10 +19,18 @@ of each kind:
 Each case calls, on the same two prior instances, `holder_check(mu, nu,
 alpha, L)`, then `pooled_propriety` on the pool ((mu, nu), (alpha,
 1 - alpha)), then `posterior_mass` of mu and of nu, and then the first two
-again at a second weight. Every float is recorded as `float.hex`, next to
-the flags, the diagnostics and the text of any exception raised. Every
-case whose record differs is listed. Exit status: 0 when all cases agree,
-1 when any differ, 2 when a run fails.
+again at a second weight.
+
+A fifth kind, `integrate`, calls `quadrature.integrate` directly on fixed
+densities that reach its rarer branches: the truncation ladder on a grid
+whose doubling windows are exact, a -inf node in each cap and in the bulk
+of a bounded and a half-line grid, a node mapped onto an endpoint, and
+two innermost nodes whose distances from the endpoint share one log.
+
+Every float is recorded as `float.hex`, next to the flags, the
+diagnostics and the text of any exception raised. Every case whose record
+differs is listed. Exit status: 0 when all cases agree, 1 when any differ,
+2 when a run fails.
 """
 
 from __future__ import annotations
@@ -89,6 +97,46 @@ def _cases():
             yield f"{i:03d}-{kind}", mu, nu, alpha, alpha2, lik
 
 
+def _integrate_cases():
+    """(label, density) of the direct `integrate` cases."""
+    import numpy as np
+
+    from prior_forge import density
+
+    GridDensity = density.GridDensity
+    # the ladder: x = 2**(k/8), the innermost node pulled down so that the
+    # cap fit is steep; 1/x, x**-1/2, and 1/x below 2**-24 only
+    x = 2.0 ** (np.arange(-320, 0) / 8.0)
+    lx, knee = np.log(x), -24.0 * np.log(2.0)
+    for name, lv in (("1/x", -lx), ("x^-1/2", -0.5 * lx),
+                     ("knee", np.where(lx < knee, -lx, -0.5 * (lx + knee)))):
+        lv = lv.copy()
+        lv[0] -= 5.0
+        yield f"ladder-{name}", GridDensity(0.0, 1.0, x, lv)
+    # a -inf node in each cap and in the bulk; node 2 is the cap's third,
+    # which its refit reads
+    for grid, base in (("bounded", density.beta_density(2.5, 3.5)),
+                       ("halfline", density.gamma_density(2.5))):
+        for at in (0, 2, len(base.nodes) // 2, -1):
+            lv = base.log_values.copy()
+            lv[at] = -np.inf
+            yield f"zero-{grid}-{at}", base.with_log_values(lv)
+    # the last node maps to t = 1, where the half-line's log Jacobian is +inf
+    y = np.append(np.geomspace(1e-3, 1e3, 100), 1e20)
+    with np.errstate(divide="ignore"):
+        yield "endpoint-node", GridDensity(0.0, np.inf, y, -3.0 * np.log1p(y))
+    # the two innermost distances one ulp apart: equal logs, no exponent fit
+    x = density.bounded_nodes(0.0, 1.0)
+    x[1] = np.nextafter(x[0], 1.0)
+    beta22 = np.log(x) + np.log1p(-x)
+    yield "equal-log-lower", GridDensity(0.0, 1.0, x, beta22)
+    yield "equal-log-upper", GridDensity(-1.0, 0.0, -x[::-1], beta22[::-1])
+    for name, second in (("flat", 0.0), ("rise", 1.0), ("drop", -1.0)):
+        lv = np.zeros_like(x)
+        lv[1] = second
+        yield f"equal-log-{name}", GridDensity(0.0, 1.0, x, lv)
+
+
 def _attempt(fn, *args):
     try:
         return _encode(fn(*args))
@@ -98,7 +146,7 @@ def _attempt(fn, *args):
 
 def record() -> dict:
     """Case label -> record of every call the case makes."""
-    from prior_forge import pooling, propriety
+    from prior_forge import pooling, propriety, quadrature
 
     def pooled(mu, nu, alpha, lik):
         problem = pooling.PoolProblem((mu, nu), pooling.PoolWeights((alpha, 1.0 - alpha)))
@@ -114,6 +162,8 @@ def record() -> dict:
             _attempt(propriety.holder_check, mu, nu, alpha2, lik),
             _attempt(pooled, mu, nu, alpha2, lik),
         ]
+    for label, dens in _integrate_cases():
+        out[f"integrate-{label}"] = [_attempt(quadrature.integrate, dens)]
     return out
 
 
