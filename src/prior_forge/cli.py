@@ -173,8 +173,7 @@ def _build_components(specs: list) -> list:
     for label, d in files[1:]:
         if not template.same_grid(d):
             raise InputError(f"{label}: grid differs from the first grid file")
-    return [s if isinstance(s, dens.GridDensity)
-            else template.with_log_values(s[0](template.nodes), normalized=s[1])
+    return [s if isinstance(s, dens.GridDensity) else dens._tabulate(template, *s)
             for _, _, s in entries]
 
 

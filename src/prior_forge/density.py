@@ -8,8 +8,9 @@ node pattern near the mapped endpoints. Bounded supports use the identity
 map.
 
 Densities are immutable; transforms (with_log_values, shifted) return new
-instances sharing the grid and its quadrature rule slot (see
-quadrature.QuadratureRule); so do the densities of the default builders
+instances sharing the grid and its slot: the quadrature rule (see
+quadrature.QuadratureRule) and the log basis read by the Beta and gamma
+families and the count likelihoods; so do the default builders' densities
 with equal layouts, whose grid is built once. dataclasses.replace builds a
 density with a slot of its own. Each instance also carries a private memo,
 empty at construction and never shared, in which the propriety module
@@ -24,7 +25,7 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,19 +44,40 @@ EDGE_CELLS = 384
 EDGE_ZONE_FRAC = 1.0 / 32.0
 
 
-class _RuleSlot:
-    """The quadrature rule of one node set, filled on first use, and whether
-    log dx/dt is zero at every node, as for an identity map.
+class _NodeBasis:
+    """Nodes x with log x and log(1-x), each taken on first use and kept
+    read-only."""
+
+    def __init__(self, x):
+        self.x = x
+
+    @cached_property
+    def log_x(self):
+        return _read_only(np.log(self.x))
+
+    @cached_property
+    def log1m_x(self):
+        return _read_only(np.log1p(-self.x))
+
+
+class _RuleSlot(_NodeBasis):
+    """What one node set shares: its log basis and its quadrature rule, each
+    filled on first use, and whether log dx/dt is zero at every node. Two
+    threads may both fill a slot; the values are equal, so either may stay.
 
     A slot is made with each density built from nodes and shared by every
     density derived from it through with_log_values (see quadrature._rule).
     """
 
-    __slots__ = ("t_nodes", "t_lo", "t_hi", "unit_jacobian", "rule")
-
-    def __init__(self, t_nodes, t_lo, t_hi, log_jacobian):
+    def __init__(self, x, t_nodes, t_lo, t_hi, log_jacobian):
+        super().__init__(x)
         self.t_nodes, self.t_lo, self.t_hi = t_nodes, t_lo, t_hi
         self.unit_jacobian, self.rule = not log_jacobian.any(), None
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -131,13 +153,20 @@ class GridDensity:
             object.__setattr__(self, "log_jacobian", logjac)
         for arr in (self.nodes, self.log_values, self.t_nodes, self.log_jacobian):
             arr.setflags(write=False)
-        object.__setattr__(self, "_rule_slot",
-                           _RuleSlot(self.t_nodes, self.t_lo, self.t_hi, logjac))
+        object.__setattr__(self, "_rule_slot", _RuleSlot(
+            self.nodes, self.t_nodes, self.t_lo, self.t_hi, logjac))
         object.__setattr__(self, "_memo", {})
 
     def __getstate__(self):
         # the memo may hold weak references, which do not pickle
         return dict(self.__dict__, _memo={})
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable, the slot's as well
+        self.__dict__.update(state)
+        for arr in (self.log_values, self.log_jacobian, *vars(self._rule_slot).values()):
+            if isinstance(arr, np.ndarray):  # the slot holds nodes and t_nodes
+                arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -176,7 +205,7 @@ class GridDensity:
 
 
 def _check_log_values(lv):
-    if not (lv < np.inf).all():  # false at NaN as well
+    if not lv.max() < np.inf:  # false at NaN as well; lv is never empty
         raise InputError("log_values must not contain NaN or +inf")
 
 
@@ -329,7 +358,7 @@ def _beta(a, b):
         raise InputError("beta parameters must be positive")
     const = log_beta(a, b)
     return ((0.0, 1.0),
-            lambda x: (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - const,
+            lambda nb: (a - 1.0) * nb.log_x + (b - 1.0) * nb.log1m_x - const,
             True)
 
 
@@ -338,7 +367,7 @@ def _gamma(shape, scale):
         raise InputError("gamma shape and scale must be positive")
     const = log_gamma(shape) + shape * math.log(scale)
     return ((0.0, math.inf),
-            lambda x: (shape - 1.0) * np.log(x) - x / scale - const,
+            lambda nb: (shape - 1.0) * nb.log_x - nb.x / scale - const,
             True)
 
 
@@ -347,7 +376,7 @@ def _normal(mean, sd):
         raise InputError("sd must be positive")
     const = math.log(sd) + 0.5 * math.log(2.0 * math.pi)
     return ((-math.inf, math.inf),
-            lambda x: -0.5 * ((x - mean) / sd) ** 2 - const,
+            lambda nb: -0.5 * ((nb.x - mean) / sd) ** 2 - const,
             True)
 
 
@@ -355,12 +384,12 @@ def _flat(lo, hi):
     _check_support(lo, hi)
     if math.isfinite(hi):
         height = -math.log(hi - lo)
-        return (lo, hi), lambda x: np.full_like(x, height), True
-    return (lo, hi), np.zeros_like, False
+        return (lo, hi), lambda nb: np.full_like(nb.x, height), True
+    return (lo, hi), lambda nb: np.zeros_like(nb.x), False
 
 
 def _exp_tilt(b):
-    return (-math.inf, math.inf), lambda x: b * x, False
+    return (-math.inf, math.inf), lambda nb: b * nb.x, False
 
 
 @dataclass(frozen=True)
@@ -370,7 +399,8 @@ class Family:
     params: parameter names in order, each with its default (None marks a
         required parameter).
     build: validates keyword parameters and returns
-        ((domain_lo, domain_hi), log_pdf callable, normalized flag).
+        ((domain_lo, domain_hi), log_pdf, normalized flag); log_pdf reads
+        x, log_x and log1m_x of a node basis (see _tabulate).
     """
 
     params: dict
@@ -386,29 +416,35 @@ FAMILIES = {
 }
 
 
+def _tabulate(grid: GridDensity, log_pdf, normalized: bool) -> GridDensity:
+    """A family's density on grid's nodes, from their basis in its slot."""
+    return grid.with_log_values(log_pdf(grid._rule_slot), normalized=normalized)
+
+
 def beta_density(a: float, b: float, n: int = 4097) -> GridDensity:
     """Normalized Beta(a, b) density on (0, 1)."""
     (lo, hi), lp, normalized = FAMILIES["beta"].build(a, b)
-    return bounded_density(lp, lo, hi, n, normalized=normalized)
+    # on the template itself, not on a zero density: criterion 01's hot path
+    return _tabulate(_bounded_grid(lo, hi, operator.index(n)), lp, normalized)
 
 
 def gamma_density(shape: float, scale: float = 1.0, n: int = 4097) -> GridDensity:
     """Normalized Gamma density on (0, inf), shape-scale convention."""
     _, lp, normalized = FAMILIES["gamma"].build(shape, scale)
-    return halfline_density(lp, scale=scale, n=n, normalized=normalized)
+    return _tabulate(halfline_density(np.zeros_like, scale=scale, n=n), lp, normalized)
 
 
 def normal_density(mean: float = 0.0, sd: float = 1.0, n: int = 2049) -> GridDensity:
     """Normalized normal density on the real line."""
     _, lp, normalized = FAMILIES["normal"].build(mean, sd)
-    return realline_density(lp, center=mean, scale=4.0 * sd, n=n,
-                            normalized=normalized)
+    return _tabulate(realline_density(np.zeros_like, center=mean, scale=4.0 * sd, n=n),
+                     lp, normalized)
 
 
 def flat_density(lo: float, hi: float, n: int = 4097) -> GridDensity:
     """Normalized uniform density on a bounded interval."""
     _, lp, normalized = FAMILIES["flat"].build(lo, hi)
-    return bounded_density(lp, lo, hi, n, normalized=normalized)
+    return _tabulate(bounded_density(np.zeros_like, lo, hi, n), lp, normalized)
 
 
 def improper_flat(domain_lo: float, domain_hi: float, n: int = None) -> GridDensity:
@@ -424,8 +460,8 @@ def improper_flat(domain_lo: float, domain_hi: float, n: int = None) -> GridDens
 
 def exp_tilt_density(b: float, n: int = 2049) -> GridDensity:
     """Improper density proportional to exp(b*x) on the real line."""
-    _, lp, _ = FAMILIES["exp-tilt"].build(b)
-    return realline_density(lp, n=n)
+    _, lp, normalized = FAMILIES["exp-tilt"].build(b)
+    return _tabulate(realline_density(np.zeros_like, n=n), lp, normalized)
 
 
 # ---------------------------------------------------------------------------

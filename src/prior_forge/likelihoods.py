@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import _interp_within
+from .density import GridDensity, _interp_within, _NodeBasis, _read_only
 from .errors import InputError
 
 
@@ -46,38 +46,40 @@ class LikelihoodModel:
         return self._hash
 
     def log_on(self, theta) -> np.ndarray:
-        """Log-likelihood kernel at parameter values theta."""
+        """Log-likelihood kernel at parameter values theta, or at the nodes
+        of a GridDensity theta, reading their shared log basis."""
         kernel = _LOG_KERNELS.get(self.family)
         if kernel is None:
             raise InputError(f"unknown likelihood family {self.family!r}")
-        return kernel(self, np.asarray(theta, dtype=float))
+        return kernel(self, theta._rule_slot if isinstance(theta, GridDensity)
+                      else _NodeBasis(np.asarray(theta, dtype=float)))
 
     def contains(self, lo: float, hi: float) -> bool:
         """Whether [lo, hi] lies inside this kernel's parameter domain."""
         return self.domain_lo <= lo and hi <= self.domain_hi
 
 
-def _binomial(model, x):
+def _binomial(model, nb):
     # a zero count drops its term, so 0 * log(0) never reaches an endpoint
     k, n = model.data
-    return ((k * np.log(x) if k > 0 else 0.0)
-            + ((n - k) * np.log1p(-x) if n > k else 0.0))
+    return ((k * nb.log_x if k > 0 else 0.0)
+            + ((n - k) * nb.log1m_x if n > k else 0.0))
 
 
-def _poisson(model, x):
+def _poisson(model, nb):
     total, n_obs = model.data
-    out = -float(n_obs) * x
-    return out + float(total) * np.log(x) if total > 0 else out
+    out = -float(n_obs) * nb.x
+    return out + float(total) * nb.log_x if total > 0 else out
 
 
-# family -> log kernel (model, theta array) -> log-likelihood array
+# family -> log kernel (model, theta's x, log_x, log1m_x basis) -> log-likelihood
 _LOG_KERNELS = {
-    "normal-location": lambda model, x: -0.5 * np.sum(
-        (x[..., None] - np.asarray(model.data, dtype=float)[None, :]) ** 2, axis=-1),
+    "normal-location": lambda model, nb: -0.5 * np.sum(
+        (nb.x[..., None] - np.asarray(model.data, dtype=float)[None, :]) ** 2, axis=-1),
     "binomial": _binomial,
     "poisson": _poisson,
-    "grid": lambda model, x: _interp_within(
-        model.table_nodes, model.table_log_values, x, "tabulated likelihood"),
+    "grid": lambda model, nb: _interp_within(
+        model.table_nodes, model.table_log_values, nb.x, "tabulated likelihood"),
 }
 
 
@@ -101,13 +103,22 @@ def binomial_counts(successes: int, trials: int) -> LikelihoodModel:
     return LikelihoodModel("binomial", (k, n), 0.0, 1.0)
 
 
+def _count_list(counts, message: str) -> list:
+    """counts, a scalar or a nonempty 1-D sequence of finite nonnegative
+    integers, as Python numbers, whose sum cannot wrap; else InputError."""
+    arr = np.atleast_1d(np.asarray(counts))
+    values = arr.tolist()
+    if arr.ndim != 1 or not values or not all(
+            isinstance(v, (int, float)) and 0 <= v < math.inf and v % 1 == 0
+            for v in values):
+        raise InputError(message)
+    return values
+
+
 def poisson_counts(counts) -> LikelihoodModel:
     """Poisson likelihood kernel for the rate on (0, inf)."""
-    arr = np.atleast_1d(np.asarray(counts))
-    if len(arr) == 0 or np.any(arr != np.floor(arr)) or np.any(arr < 0):
-        raise InputError("counts must be nonnegative integers")
-    total = int(arr.sum())
-    return LikelihoodModel("poisson", (total, len(arr)), 0.0, math.inf)
+    values = _count_list(counts, "counts must be nonnegative integers")
+    return LikelihoodModel("poisson", (int(sum(values)), len(values)), 0.0, math.inf)
 
 
 def multinomial_counts(counts) -> LikelihoodModel:
@@ -123,9 +134,11 @@ def multinomial_counts(counts) -> LikelihoodModel:
             "multinomial likelihoods support exactly 2 cells here; the "
             "parameter grid is univariate"
         )
-    if np.any(arr != np.floor(arr)) or np.any(arr < 0) or arr.sum() < 1:
-        raise InputError("counts must be nonnegative integers with a positive total")
-    return binomial_counts(int(arr[0]), int(arr.sum()))
+    message = "counts must be nonnegative integers with a positive total"
+    k, rest = _count_list(arr, message)
+    if k + rest < 1:
+        raise InputError(message)
+    return binomial_counts(int(k), int(k + rest))
 
 
 def tabulated_likelihood(nodes, log_values, domain_lo: float,
@@ -140,10 +153,7 @@ def tabulated_likelihood(nodes, log_values, domain_lo: float,
         raise InputError("table nodes must be strictly increasing")
     if np.any(np.isnan(lv)) or np.any(lv == np.inf):
         raise InputError("table log values must not contain NaN or +inf")
-    x = x.copy()
-    lv = lv.copy()
-    x.setflags(write=False)
-    lv.setflags(write=False)
+    x, lv = _read_only(x.copy()), _read_only(lv.copy())
     return LikelihoodModel("grid", (tuple(x.tolist()), tuple(lv.tolist())),
                            float(domain_lo), float(domain_hi),
                            table_nodes=x, table_log_values=lv)

@@ -61,7 +61,7 @@ def _log_likelihood_on(grid: GridDensity, likelihood: LikelihoodModel) -> np.nda
                 "prior support is not contained in the likelihood's parameter "
                 f"domain [{likelihood.domain_lo}, {likelihood.domain_hi}]"
             )
-        log_like = grid._memo[key] = likelihood.log_on(grid.nodes)
+        log_like = grid._memo[key] = likelihood.log_on(grid)
     return log_like
 
 

@@ -1,12 +1,17 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prior_forge import (GridDensity, InputError, beta_density, bounded_nodes,
                          gamma_density, improper_flat, normal_density,
                          read_density, write_density)
-from prior_forge.density import halfline_density, realline_density
+from prior_forge.density import (_bounded_grid, _check_log_values, _halfline_grid,
+                                 halfline_density, realline_density)
+from prior_forge.special import log_beta, log_gamma
 from prior_forge.util import sorted_quantile
 
 
@@ -215,3 +220,74 @@ def test_sorted_quantile_matches_numpy_bit_for_bit():
         for q in (0.25, 0.75):
             got = np.float64(sorted_quantile(nodes, q))
             assert got.tobytes() == np.quantile(nodes, q).tobytes(), (len(nodes), q)
+
+
+# ---------------------------------------------------------------------------
+# the log basis a node set shares
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(a=st.floats(1e-4, 50.0), b=st.floats(1e-4, 50.0))
+def test_beta_density_is_its_closed_form_on_the_template_nodes(a, b):
+    x = _bounded_grid(0.0, 1.0, 4097).nodes
+    want = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta(a, b)
+    assert beta_density(a, b).log_values.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(shape=st.floats(1e-4, 50.0), scale=st.floats(1e-4, 50.0))
+def test_gamma_density_is_its_closed_form_on_the_template_nodes(shape, scale):
+    x = _halfline_grid(scale, 4097, 1e-10, 1e4, 0.0).nodes
+    want = ((shape - 1.0) * np.log(x) - x / scale
+            - (log_gamma(shape) + shape * math.log(scale)))
+    assert gamma_density(shape, scale).log_values.tobytes() == want.tobytes()
+
+
+def test_densities_on_one_layout_share_one_read_only_basis():
+    for a, b in ((beta_density(0.5, 0.5), beta_density(2.0, 3.0)),
+                 (gamma_density(2.0), gamma_density(0.5)),
+                 (beta_density(2.0, 3.0), improper_flat(0.0, 1.0))):
+        slot = a._rule_slot
+        assert slot is b._rule_slot and slot.x is a.nodes
+        assert slot.log_x is b._rule_slot.log_x
+        assert not slot.log_x.flags.writeable
+        assert np.array_equal(slot.log_x, np.log(a.nodes))
+    beta = beta_density(2.0, 3.0)._rule_slot
+    assert beta.log1m_x is beta_density(4.0, 1.5)._rule_slot.log1m_x
+    assert not beta.log1m_x.flags.writeable
+
+
+def test_an_unpickled_density_is_read_only():
+    for d in (beta_density(2.0, 3.0), gamma_density(2.0)):
+        back = pickle.loads(pickle.dumps(d))
+        arrays = (back.nodes, back.log_values, back.t_nodes, back.log_jacobian)
+        assert not any(arr.flags.writeable for arr in arrays)
+    # a filled basis pickles with the slot, which keeps sharing the nodes
+    d = beta_density(2.0, 3.0)
+    want = (d._rule_slot.log_x, d._rule_slot.log1m_x)
+    slot = pickle.loads(pickle.dumps(d))._rule_slot
+    for got, arr in zip((slot.log_x, slot.log1m_x), want):
+        assert not got.flags.writeable and got.tobytes() == arr.tobytes()
+    assert not slot.t_nodes.flags.writeable
+
+
+@pytest.mark.parametrize("values, ok", [
+    ([0.0] * 16, True),
+    ([-math.inf] * 16, True),
+    ([-math.inf, 0.0] * 8, True),
+    ([1e308, -1e308] * 8, True),
+    ([math.nan] + [0.0] * 15, False),
+    ([0.0] * 15 + [math.nan], False),
+    ([-math.inf] * 15 + [math.nan], False),
+    ([math.inf] + [0.0] * 15, False),
+    ([-math.inf] * 15 + [math.inf], False),
+    ([math.nan, math.inf] + [-math.inf] * 14, False),
+    ([math.nan] * 16, False),
+])
+def test_check_log_values_rejects_nan_and_positive_inf_anywhere(values, ok):
+    lv = np.array(values)
+    if ok:
+        _check_log_values(lv)
+    else:
+        with pytest.raises(InputError, match=r"^log_values must not contain NaN or \+inf$"):
+            _check_log_values(lv)

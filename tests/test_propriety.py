@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prior_forge import propriety
-from prior_forge.density import (beta_density, exp_tilt_density, flat_density,
+from prior_forge.density import (GridDensity, beta_density, exp_tilt_density, flat_density,
                                  gamma_density, halfline_density, improper_flat)
 from prior_forge.errors import InputError, NumericalError
 from prior_forge.likelihoods import (LikelihoodModel, binomial_counts,
-                                     normal_location, poisson_counts,
-                                     tabulated_likelihood)
+                                     multinomial_counts, normal_location,
+                                     poisson_counts, tabulated_likelihood)
 from prior_forge.pooling import PoolProblem, PoolWeights
 from prior_forge.propriety import holder_check, pooled_propriety, posterior_mass
 
@@ -427,8 +427,6 @@ def test_memoized_results_equal_fresh_computations_bitwise():
 
 
 def test_two_cell_multinomial_is_the_binomial_kernel():
-    from prior_forge.likelihoods import multinomial_counts
-
     x = np.linspace(0.01, 0.99, 50)
     two_cell = multinomial_counts([3, 4])
     assert two_cell.contains(0.0, 1.0)
@@ -437,3 +435,80 @@ def test_two_cell_multinomial_is_the_binomial_kernel():
         multinomial_counts([1, 2, 3])
     with pytest.raises(InputError):
         multinomial_counts([0, 0])
+
+
+_COUNTS = "counts must be nonnegative integers"
+_CELLS = "multinomial likelihoods support exactly 2 cells here"
+_TOTAL = "counts must be nonnegative integers with a positive total"
+
+
+@pytest.mark.parametrize("build, counts, want", [
+    # accepted: scalars, int64 and uint8 arrays, integral floats, bools, and
+    # ints beyond int64, whose sum must not wrap
+    (poisson_counts, 3, (3, 1)),
+    (poisson_counts, (1, 2, 3), (6, 3)),
+    (poisson_counts, np.array([1, 2], dtype=np.int64), (3, 2)),
+    (poisson_counts, np.array([3], dtype=np.uint8), (3, 1)),
+    (poisson_counts, [1.0, 2.0], (3, 2)),
+    (poisson_counts, np.float32(2.0), (2, 1)),
+    (poisson_counts, (True, False), (1, 2)),
+    (poisson_counts, [0, 0], (0, 2)),
+    (poisson_counts, [2 ** 64], (2 ** 64, 1)),
+    (poisson_counts, [2 ** 70], (2 ** 70, 1)),
+    (poisson_counts, [2 ** 62, 2 ** 62], (2 ** 63, 2)),
+    (poisson_counts, [2 ** 63, 2 ** 63], (2 ** 64, 2)),
+    (multinomial_counts, [3, 4], (3, 7)),
+    (multinomial_counts, np.array([1, 2]), (1, 3)),
+    (multinomial_counts, [1.0, 2.0], (1, 3)),
+    (multinomial_counts, (True, False), (1, 1)),
+    (multinomial_counts, [0, 5], (0, 5)),
+    (multinomial_counts, [2 ** 62, 2 ** 62], (2 ** 62, 2 ** 63)),
+    # refused, each with its message
+    (poisson_counts, (), _COUNTS),
+    (poisson_counts, (-1,), _COUNTS),
+    (poisson_counts, (1.5,), _COUNTS),
+    (poisson_counts, (math.nan,), _COUNTS),
+    (poisson_counts, (math.inf,), _COUNTS),
+    (poisson_counts, ("a",), _COUNTS),
+    (poisson_counts, ("1",), _COUNTS),
+    (poisson_counts, [None], _COUNTS),
+    (poisson_counts, [1 + 0j], _COUNTS),
+    (poisson_counts, [[1, 2], [3, 4]], _COUNTS),
+    (poisson_counts, [[1, 2, 3]], _COUNTS),
+    (multinomial_counts, 3, _CELLS),
+    (multinomial_counts, (1, 2, 3), _CELLS),
+    (multinomial_counts, [[1, 2, 3]], _CELLS),
+    (multinomial_counts, ("a",), _CELLS),
+    (multinomial_counts, [0, 0], _TOTAL),
+    (multinomial_counts, [1.5, 2], _TOTAL),
+    (multinomial_counts, [-1, 3], _TOTAL),
+    (multinomial_counts, [math.inf, 1], _TOTAL),
+    (multinomial_counts, ["a", "b"], _TOTAL),
+    (multinomial_counts, [[1, 2], [3, 4]], _TOTAL),
+    (multinomial_counts, [[1], [2]], _TOTAL),
+])
+def test_count_likelihoods_accept_integers_and_refuse_the_rest(build, counts, want):
+    if isinstance(want, str):
+        with pytest.raises(InputError, match="^" + want):
+            build(counts)
+    else:
+        lik = build(counts)
+        assert lik.data == want and all(type(v) is int for v in want)
+
+
+def _count_grids():
+    """A bounded, a half-line and a user-built grid, every node in (0, 1)."""
+    x = np.geomspace(1e-6, 0.999, 300)
+    return (beta_density(2.0, 3.0), halfline_density(np.zeros_like, scale=1e-5),
+            GridDensity(0.0, 1.0, x, np.zeros_like(x)))
+
+
+@pytest.mark.parametrize("lik", [
+    binomial_counts(0, 9), binomial_counts(9, 9), binomial_counts(3, 9),
+    poisson_counts([0]), poisson_counts([2, 5]), multinomial_counts([4, 2]),
+])
+def test_count_kernels_read_the_grid_basis_bit_for_bit(lik):
+    for grid in _count_grids():
+        via_grid = lik.log_on(grid)
+        assert via_grid.tobytes() == lik.log_on(grid.nodes).tobytes()
+        assert via_grid.tobytes() == lik.log_on(list(grid.nodes)).tobytes()

@@ -27,6 +27,18 @@ whose doubling windows are exact, a -inf node in each cap and in the bulk
 of a bounded and a half-line grid, a node mapped onto an endpoint, and
 two innermost nodes whose distances from the endpoint share one log.
 
+A sixth kind, `kernels`, records the bytes of arrays rather than the
+results built from them: every builder's log values (a Beta shape sweep
+down to 1e-4, gamma, flat, normal and exp-tilt densities, and one
+component of each family built by the CLI, on a default grid and on a
+grid read from a file), and the log kernel of every likelihood family
+(binomial at k = 0, k = n and in between, Poisson with total 0 and > 0,
+normal location and a table) on default bounded, half-line and real-line
+grids and on grids built from nodes. Each kernel is taken twice: through
+`propriety`'s grid path, as a posterior sees it, and through
+`log_on` on a plain array of the same nodes. An array is recorded as the
+sha256 of its bytes and `float.hex` of its two end values.
+
 Every float is recorded as `float.hex`, next to the flags, the
 diagnostics and the text of any exception raised. Every case whose record
 differs is listed. Exit status: 0 when all cases agree, 1 when any differ,
@@ -36,6 +48,7 @@ differs is listed. Exit status: 0 when all cases agree, 1 when any differ,
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -137,6 +150,72 @@ def _integrate_cases():
         yield f"equal-log-{name}", GridDensity(0.0, 1.0, x, lv)
 
 
+def _kernel_arrays(tmp):
+    """(label, array) of the `kernels` kind; tmp is a directory for the
+    grid file."""
+    import numpy as np
+
+    from prior_forge import cli, density, likelihoods, propriety
+
+    shapes = (1e-4, 1e-3, 0.3, 0.5, 1.0, 2.5, 7.0, 50.0)
+    for a in shapes:
+        for b in shapes:
+            yield f"beta-{a}-{b}", density.beta_density(a, b).log_values
+    for shape in (1e-3, 0.5, 1.0, 2.5, 9.0):
+        for scale in (0.1, 1.0, 20.0):
+            yield f"gamma-{shape}-{scale}", density.gamma_density(shape, scale).log_values
+    for lo, hi in ((0.0, 1.0), (-2.0, 5.0)):
+        yield f"flat-{lo}-{hi}", density.flat_density(lo, hi).log_values
+    for mean, sd in ((0.0, 1.0), (3.0, 0.2)):
+        yield f"normal-{mean}-{sd}", density.normal_density(mean, sd).log_values
+    for b in (-1.5, 0.0, 2.0):
+        yield f"exp-tilt-{b}", density.exp_tilt_density(b).log_values
+    # a user grid on (0, 1), its nodes read back from a file, as the CLI does
+    x = np.geomspace(1e-9, 0.5, 600)
+    x = np.concatenate([x, 1.0 - x[::-1][1:]])
+    user = density.GridDensity(0.0, 1.0, x, np.zeros_like(x))
+    path = os.path.join(tmp, "grid.csv")
+    density.write_density(user, path)
+    for grid, specs in (
+            ("bounded", ["beta:a=0.5,b=2", "beta:a=3e-4,b=0.7", "flat:lo=0,hi=1"]),
+            ("halfline", ["gamma:shape=2.5,scale=3", "gamma:shape=0.4", "flat:lo=0"]),
+            ("realline", ["normal:mean=1,sd=2", "exp-tilt:b=0.5", "flat"]),
+            ("file", [f"grid-file:{path}", "beta:a=0.5,b=2", "beta:a=2e-4,b=3"])):
+        for i, comp in enumerate(cli._build_components(specs)):
+            yield f"cli-{grid}-{i}", comp.log_values
+    half_x = np.geomspace(1e-6, 1e3, 500)
+    grids = {
+        "bounded": density.beta_density(2.0, 3.0),
+        "halfline": density.gamma_density(2.0),
+        "realline": density.normal_density(),
+        "user-bounded": user,
+        "user-halfline": density.GridDensity(0.0, np.inf, half_x, np.zeros_like(half_x)),
+    }
+    table = likelihoods.tabulated_likelihood(
+        np.geomspace(1e-12, 1e5, 50), np.linspace(-3.0, 1.0, 50), 0.0, np.inf)
+    models = {
+        "binomial-0-7": likelihoods.binomial_counts(0, 7),
+        "binomial-7-7": likelihoods.binomial_counts(7, 7),
+        "binomial-3-7": likelihoods.binomial_counts(3, 7),
+        "poisson-0": likelihoods.poisson_counts((0, 0)),
+        "poisson-9": likelihoods.poisson_counts((2, 0, 7)),
+        "normal-location": likelihoods.normal_location((0.3, -1.2)),
+        "grid": table,
+    }
+    for name, lik in models.items():
+        for grid_name, grid in grids.items():
+            if not lik.contains(grid.domain_lo, grid.domain_hi):
+                continue
+            fresh = grid.with_log_values(grid.log_values)  # an empty memo
+            yield f"log-on-{name}-{grid_name}-grid", propriety._log_likelihood_on(fresh, lik)
+            yield f"log-on-{name}-{grid_name}-array", lik.log_on(np.array(grid.nodes))
+
+
+def _array_record(arr):
+    return [hashlib.sha256(arr.tobytes()).hexdigest(), arr.dtype.str, list(arr.shape),
+            float(arr[0]).hex(), float(arr[-1]).hex()]
+
+
 def _attempt(fn, *args):
     try:
         return _encode(fn(*args))
@@ -164,6 +243,9 @@ def record() -> dict:
         ]
     for label, dens in _integrate_cases():
         out[f"integrate-{label}"] = [_attempt(quadrature.integrate, dens)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, arr in _kernel_arrays(tmp):
+            out[f"kernels-{label}"] = _array_record(arr)
     return out
 
 
