@@ -97,7 +97,11 @@ class GridDensity:
     The constructor makes the quadrature rule slot, which with_log_values
     and shifted carry along; dataclasses.replace makes a fresh one. The
     memo dict starts empty in the constructor, with_log_values, shifted
-    and dataclasses.replace alike.
+    and dataclasses.replace alike. Each of them also keeps the max of the
+    log values, which the values check takes anyway, for integrate to
+    shift by. The rule, the memo and the max are read from the arrays once,
+    so the arrays must not change after the density is made, even where a
+    caller makes them writeable again.
     """
 
     domain_lo: float
@@ -112,6 +116,7 @@ class GridDensity:
     note: str = ""
     _rule_slot: _RuleSlot = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
+    _max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -124,7 +129,7 @@ class GridDensity:
             raise InputError("grid nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise InputError("grid nodes must be strictly increasing")
-        _check_log_values(lv)
+        top = _check_log_values(lv)
         lo, hi = float(self.domain_lo), float(self.domain_hi)
         if not lo < hi:
             raise InputError("domain_lo must be less than domain_hi")
@@ -156,6 +161,7 @@ class GridDensity:
         object.__setattr__(self, "_rule_slot", _RuleSlot(
             self.nodes, self.t_nodes, self.t_lo, self.t_hi, logjac))
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_max", top)
 
     def __getstate__(self):
         # the memo may hold weak references, which do not pickle
@@ -172,8 +178,9 @@ class GridDensity:
         return len(self.nodes)
 
     def same_grid(self, other: "GridDensity") -> bool:
-        """True when both densities share domain and abscissae exactly."""
-        return (
+        """True when both densities share domain and abscissae exactly, as
+        two that share a rule slot always do."""
+        return self._rule_slot is other._rule_slot or (
             self.domain_lo == other.domain_lo
             and self.domain_hi == other.domain_hi
             and (self.nodes is other.nodes or np.array_equal(self.nodes, other.nodes))
@@ -190,11 +197,11 @@ class GridDensity:
         lv = np.asarray(log_values, dtype=float)
         if lv.ndim != 1 or len(lv) != len(self.nodes):
             raise InputError("nodes and log_values must be 1-D arrays of equal length")
-        _check_log_values(lv)
+        top = _check_log_values(lv)
         lv.setflags(write=False)
         derived = object.__new__(GridDensity)
         derived.__dict__.update(self.__dict__, log_values=lv, normalized=normalized,
-                                note=note, _memo={})
+                                note=note, _memo={}, _max=top)
         return derived
 
     def shifted(self, offset: float, *, normalized=False, note="") -> "GridDensity":
@@ -204,9 +211,12 @@ class GridDensity:
         )
 
 
-def _check_log_values(lv):
-    if not lv.max() < np.inf:  # false at NaN as well; lv is never empty
+def _check_log_values(lv) -> float:
+    """The max of log values lv as a float; NaN or +inf is an InputError."""
+    top = float(np.maximum.reduce(lv))  # lv is never empty
+    if not top < math.inf:  # false at NaN as well
         raise InputError("log_values must not contain NaN or +inf")
+    return top
 
 
 def _derive_map(nodes, lo, hi):
@@ -357,18 +367,26 @@ def _beta(a, b):
     if a <= 0 or b <= 0:
         raise InputError("beta parameters must be positive")
     const = log_beta(a, b)
-    return ((0.0, 1.0),
-            lambda nb: (a - 1.0) * nb.log_x + (b - 1.0) * nb.log1m_x - const,
-            True)
+
+    def log_pdf(nb):  # (a - 1) log x + (b - 1) log(1 - x) - const, in place
+        out = (a - 1.0) * nb.log_x
+        out += (b - 1.0) * nb.log1m_x
+        out -= const
+        return out
+    return (0.0, 1.0), log_pdf, True
 
 
 def _gamma(shape, scale):
     if shape <= 0 or scale <= 0:
         raise InputError("gamma shape and scale must be positive")
     const = log_gamma(shape) + shape * math.log(scale)
-    return ((0.0, math.inf),
-            lambda nb: (shape - 1.0) * nb.log_x - nb.x / scale - const,
-            True)
+
+    def log_pdf(nb):  # (shape - 1) log x - x / scale - const, in place
+        out = (shape - 1.0) * nb.log_x
+        out -= nb.x / scale
+        out -= const
+        return out
+    return (0.0, math.inf), log_pdf, True
 
 
 def _normal(mean, sd):

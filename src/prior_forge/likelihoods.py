@@ -16,6 +16,7 @@ import numpy as np
 
 from .density import GridDensity, _interp_within, _NodeBasis, _read_only
 from .errors import InputError
+from .util import real_values
 
 
 @dataclass(frozen=True)
@@ -62,20 +63,36 @@ class LikelihoodModel:
 def _binomial(model, nb):
     # a zero count drops its term, so 0 * log(0) never reaches an endpoint
     k, n = model.data
-    return ((k * nb.log_x if k > 0 else 0.0)
-            + ((n - k) * nb.log1m_x if n > k else 0.0))
+    out = k * nb.log_x if k > 0 else 0.0
+    out += (n - k) * nb.log1m_x if n > k else 0.0  # in place from k > 0
+    return out
 
 
 def _poisson(model, nb):
     total, n_obs = model.data
     out = -float(n_obs) * nb.x
-    return out + float(total) * nb.log_x if total > 0 else out
+    if total > 0:
+        out += float(total) * nb.log_x
+    return out
+
+
+def _normal_location(model, nb):
+    data = model.data
+    if len(data) >= 8 or nb.x.ndim != 1:  # numpy sums 8 or more terms pairwise
+        return -0.5 * np.sum(
+            (nb.x[..., None] - np.asarray(data, dtype=float)[None, :]) ** 2, axis=-1)
+    # fewer it adds in order, as this loop does over a node array
+    total = nb.x - data[0]
+    total **= 2
+    for d in data[1:]:
+        total += (nb.x - d) ** 2
+    total *= -0.5  # -0.5 * total
+    return total
 
 
 # family -> log kernel (model, theta's x, log_x, log1m_x basis) -> log-likelihood
 _LOG_KERNELS = {
-    "normal-location": lambda model, nb: -0.5 * np.sum(
-        (nb.x[..., None] - np.asarray(model.data, dtype=float)[None, :]) ** 2, axis=-1),
+    "normal-location": _normal_location,
     "binomial": _binomial,
     "poisson": _poisson,
     "grid": lambda model, nb: _interp_within(
@@ -88,11 +105,13 @@ def normal_location(observations) -> LikelihoodModel:
 
     observations: one or more real data points.
     """
-    obs = np.atleast_1d(np.asarray(observations, dtype=float))
-    if obs.ndim != 1 or len(obs) == 0 or not np.all(np.isfinite(obs)):
-        raise InputError("observations must be a nonempty vector of finite reals")
-    return LikelihoodModel("normal-location", tuple(float(v) for v in obs),
-                           -math.inf, math.inf)
+    message = "observations must be a nonempty vector of finite reals"
+    obs, ndim = real_values(observations, message)
+    if ndim == 0:
+        obs = [obs]
+    if ndim > 1 or not obs or not all(map(math.isfinite, obs)):
+        raise InputError(message)
+    return LikelihoodModel("normal-location", tuple(obs), -math.inf, math.inf)
 
 
 def binomial_counts(successes: int, trials: int) -> LikelihoodModel:
@@ -106,13 +125,22 @@ def binomial_counts(successes: int, trials: int) -> LikelihoodModel:
 def _count_list(counts, message: str) -> list:
     """counts, a scalar or a nonempty 1-D sequence of finite nonnegative
     integers, as Python numbers, whose sum cannot wrap; else InputError."""
-    arr = np.atleast_1d(np.asarray(counts))
+    arr = _count_array(counts, message)
     values = arr.tolist()
     if arr.ndim != 1 or not values or not all(
             isinstance(v, (int, float)) and 0 <= v < math.inf and v % 1 == 0
             for v in values):
         raise InputError(message)
     return values
+
+
+def _count_array(counts, message: str) -> np.ndarray:
+    """np.atleast_1d(np.asarray(counts)); InputError when numpy cannot make
+    an array of counts, such as a ragged nesting."""
+    try:
+        return np.atleast_1d(np.asarray(counts))
+    except ValueError as exc:
+        raise InputError(message) from exc
 
 
 def poisson_counts(counts) -> LikelihoodModel:
@@ -128,13 +156,13 @@ def multinomial_counts(counts) -> LikelihoodModel:
     supported; it is the binomial kernel in the first cell's probability,
     and larger tables are rejected.
     """
-    arr = np.atleast_1d(np.asarray(counts))
+    message = "counts must be nonnegative integers with a positive total"
+    arr = _count_array(counts, message)
     if len(arr) != 2:
         raise InputError(
             "multinomial likelihoods support exactly 2 cells here; the "
             "parameter grid is univariate"
         )
-    message = "counts must be nonnegative integers with a positive total"
     k, rest = _count_list(arr, message)
     if k + rest < 1:
         raise InputError(message)

@@ -21,7 +21,7 @@ from .errors import InputError, NumericalError
 from .quadrature import (DEFAULT_TOL, _normalized_by, integrate, normalize,
                          signed_integral_table)
 from .streams import RandomStream
-from .util import thread_cap
+from .util import real_values, thread_cap
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -33,12 +33,14 @@ class PoolWeights:
     alphas: np.ndarray
 
     def __post_init__(self):
-        al = np.asarray(self.alphas, dtype=float)
-        if al.ndim != 1 or len(al) == 0:
+        values, ndim = real_values(self.alphas, "weights must be finite and nonnegative")
+        if ndim != 1 or not values:
             raise InputError("weights must form a nonempty 1-D vector")
-        # min catches negatives and NaN; an infinite sum is an inf weight or overflow
-        if not al.min() >= 0 or ((total := float(al.sum())) == math.inf
-                                 and not np.isfinite(al).all()):
+        al = np.array(values)
+        # min catches negatives and the sum NaN; an infinite sum is an inf
+        # weight or overflow
+        if not min(values) >= 0.0 or math.isnan(total := float(np.add.reduce(al))) or (
+                total == math.inf and math.inf in values):
             raise InputError("weights must be finite and nonnegative")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InputError("weights must sum to 1 within 1e-12")
@@ -70,18 +72,19 @@ class PoolProblem:
         comps = tuple(self.components)
         if len(comps) == 0:
             raise InputError("pool problem needs at least one component")
-        if len(comps) != len(self.weights):
+        if len(comps) != len(self.weights.alphas):
             raise InputError("number of components must match number of weights")
         first = comps[0]
         for i, comp in enumerate(comps):
             if not isinstance(comp, GridDensity):
                 raise InputError(f"component {i} is not a grid density")
-            if not first.same_grid(comp):
+            if i and not first.same_grid(comp):
                 raise InputError(
                     f"component {i} is tabulated on a different grid; "
                     "all components must share domain and abscissae"
                 )
-        object.__setattr__(self, "components", comps)
+        if comps is not self.components:
+            object.__setattr__(self, "components", comps)
 
     @property
     def grid(self) -> GridDensity:
@@ -96,10 +99,13 @@ def _weighted_log_sum(alphas, components, start=0.0) -> np.ndarray:
     which is a valid zero of the pooled density. Zero-weight components
     are skipped entirely so they cannot poison nodes they do not affect.
     """
-    out = start
+    out, fresh = start, False
     for a, comp in zip(alphas, components):
         if a > 0.0:
-            out = out + a * comp.log_values
+            term = a * comp.log_values
+            # out + term, into an array of this sum's own
+            out = np.add(out, term, out=out if fresh else term)
+            fresh = True
     return out
 
 

@@ -102,13 +102,13 @@ def _classify(res: QuadratureResult) -> ProprietyVerdict:
 
 def _require_proper(prior: GridDensity, likelihood: LikelihoodModel,
                     log_like: np.ndarray, tolerance: float,
-                    failure: str) -> ProprietyVerdict:
+                    failure: str, name) -> ProprietyVerdict:
     """Mass verdict of a posterior that a check needs proper, given the
-    log likelihood at the prior's nodes; raises InputError with `failure`
-    and the diagnostics otherwise."""
+    log likelihood at the prior's nodes; raises InputError with `failure`,
+    its {} filled with name, and the diagnostics otherwise."""
     verdict = _mass_verdict(prior, likelihood, log_like, tolerance)
     if not verdict.proper:
-        raise InputError(f"{failure} ({verdict.diagnostics})")
+        raise InputError(f"{failure.format(name)} ({verdict.diagnostics})")
     return verdict
 
 
@@ -126,8 +126,13 @@ def _pooled_mass(alphas, components, verdicts, likelihood, log_like,
     first, others = components[0], components[1:]
     key = ("pool", likelihood, tolerance, tuple(alphas))
     hit = first._memo.get(key)
-    if hit is not None and all(ref() is comp for ref, comp in zip(hit[0], others)):
-        return hit[1]
+    if hit is not None:
+        refs, out = hit
+        for ref, comp in zip(refs, others):
+            if ref() is not comp:
+                break
+        else:
+            return out
     res = integrate(first.with_log_values(
         _weighted_log_sum(alphas, components, log_like)), tolerance)
     if res.diverged:
@@ -150,6 +155,10 @@ def _pooled_mass(alphas, components, verdicts, likelihood, log_like,
     out = res, bound, bound_err, value <= bound + slack
     first._memo[key] = tuple(map(weakref.ref, others)), out
     return out
+
+
+_HOLDER_FAILED = "holder_check precondition failed: posterior under {} is not proper"
+_POOLED_FAILED = "pooled_propriety precondition failed: component {} has an improper posterior"
 
 
 @dataclass(frozen=True)
@@ -187,22 +196,17 @@ def holder_check(mu: GridDensity, nu: GridDensity, alpha: float,
     if not mu.same_grid(nu):
         raise InputError("mu and nu must share a grid")
     log_like = _log_likelihood_on(mu, likelihood)
-    failed = "holder_check precondition failed: posterior under {} is not proper"
-    mu_verdict = _require_proper(mu, likelihood, log_like, tolerance,
-                                 failed.format("mu"))
-    nu_verdict = _require_proper(nu, likelihood, log_like, tolerance,
-                                 failed.format("nu"))
+    mu_verdict = _require_proper(mu, likelihood, log_like, tolerance, _HOLDER_FAILED, "mu")
+    nu_verdict = _require_proper(nu, likelihood, log_like, tolerance, _HOLDER_FAILED, "nu")
 
     a = float(alpha)  # Python floats, as pooled_propriety's weights are
     lhs_res, rhs, rhs_err, holds = _pooled_mass(
         (a, 1.0 - a), (mu, nu), (mu_verdict, nu_verdict), likelihood,
         log_like, tolerance)
     lhs = lhs_res.value
-    return HolderReport(
-        lhs=lhs, rhs=rhs, lhs_error=lhs_res.abs_error_estimate, rhs_error=rhs_err,
-        holds=holds, inconclusive=holds and lhs > rhs, alpha=alpha,
-        mu_mass=mu_verdict, nu_mass=nu_verdict,
-    )
+    # positional: a frozen dataclass takes keywords at a cost per field
+    return HolderReport(lhs, rhs, lhs_res.abs_error_estimate, rhs_err, holds,
+                        holds and lhs > rhs, alpha, mu_verdict, nu_verdict)
 
 
 @dataclass(frozen=True)
@@ -231,20 +235,14 @@ def pooled_propriety(problem: PoolProblem, likelihood: LikelihoodModel,
     kernel is used unnormalized (the bound is stated for raw components).
     """
     al = problem.weights.alphas.tolist()
-    log_like = _log_likelihood_on(problem.grid, likelihood)
+    comps = problem.components
+    log_like = _log_likelihood_on(comps[0], likelihood)
     verdicts = [
         None if a == 0.0 else _require_proper(
-            comp, likelihood, log_like, tolerance, "pooled_propriety precondition "
-            f"failed: component {i} has an improper posterior")
-        for i, (a, comp) in enumerate(zip(al, problem.components))
+            comp, likelihood, log_like, tolerance, _POOLED_FAILED, i)
+        for i, (a, comp) in enumerate(zip(al, comps))
     ]
     res, bound, bound_err, within = _pooled_mass(
-        al, problem.components, verdicts, likelihood, log_like, tolerance)
-    return PooledProprietyReport(
-        pooled_mass=res,
-        bound=bound,
-        bound_error=bound_err,
-        component_masses=tuple(verdicts),
-        proper=res.converged and res.value > 0,
-        bound_satisfied=within,
-    )
+        al, comps, verdicts, likelihood, log_like, tolerance)
+    return PooledProprietyReport(res, bound, bound_err, tuple(verdicts),
+                                 res.converged and res.value > 0, within)

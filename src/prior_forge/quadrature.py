@@ -37,7 +37,6 @@ first use; equal nodes give a rule with the same bits.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -176,39 +175,41 @@ def _pass_weights(x, w_full, half):
     return w
 
 
-def _passes(w, g):
-    """Full and half-resolution integrals of values g: einsum's own loop,
-    not BLAS, whose bits can change with its thread count."""
-    full, half = np.einsum("ij,j->i", w, g).tolist()
-    return full, half
-
-
 @dataclass(frozen=True)
 class _Cap:
     """The nodes of one endpoint cap and the weights of both its passes.
 
+    side: "lower" or "upper", the endpoint the cap sits at.
+    sel: the slice of the grid's values that holds the cap's nodes, in
+        order of increasing distance from its endpoint.
     d: node distances from the endpoint, increasing, d[0] > 0.
     log_rel: log(d) - log(d[0]), the only form of the logs _cap_integral reads.
     w: pass weights at d (see _pass_weights).
     fit: d[0] and log_rel at 1, 2 (1 on a two-node cap) and -1, as floats.
     """
 
+    side: str
+    sel: slice
     d: np.ndarray
     log_rel: np.ndarray
     w: np.ndarray
     fit: tuple
 
     @classmethod
-    def build(cls, d):
+    def build(cls, side, d):
         d = np.array(d)  # not a view that would keep the whole grid alive
         log_d = np.log(d)
         rel = log_d - log_d[0]
-        return cls(d, rel, _pass_weights(d, _node_weights(d), _decimate_idx(len(d))),
-                   (float(d[0]), *rel[[1, min(2, len(d) - 1), -1]].tolist()))
+        m = len(d)
+        return cls(side, slice(None, m) if side == "lower" else slice(-1, -m - 1, -1),
+                   d, rel, _pass_weights(d, _node_weights(d), _decimate_idx(m)),
+                   (float(d[0]), *rel[[1, min(2, m - 1), -1]].tolist()))
 
     def passes(self, g):
-        """Full and half-resolution integrals of values g at the cap nodes."""
-        return _passes(self.w, g)
+        """[full, half-resolution] integrals of values g at the cap nodes:
+        einsum's own loop, not BLAS, whose bits can change with its thread
+        count."""
+        return np.einsum("ij,j->i", self.w, g).tolist()
 
 
 @dataclass(frozen=True)
@@ -222,6 +223,7 @@ class QuadratureRule:
     bulk / w_bulk: the slice of nodes the stencils of the bulk cells
         (between the caps) touch, and the pass weights there.
     lower / upper: the endpoint caps (None when empty).
+    caps: the caps that are not empty, lower first.
     ladder_lo: (nodes, weights, starts) of the three truncation-ladder
         windows nearest an offset lower endpoint, the only ones its test
         reads (see _window_weights); None with fewer than four windows.
@@ -232,6 +234,7 @@ class QuadratureRule:
     w_bulk: np.ndarray
     lower: _Cap
     upper: _Cap
+    caps: tuple
     ladder_lo: tuple
 
     @classmethod
@@ -250,12 +253,15 @@ class QuadratureRule:
         # the half pass's nodes m_lo .. n - 1 - m_hi lie in that slice
         half = m_lo - bulk.start + _decimate_idx(n - m_hi - m_lo)
         ladder = _ladder_bounds(d_lo, d_lo[-1] / 8)
+        lower = _Cap.build("lower", d_lo[: m_lo + 1]) if m_lo > 0 else None
+        upper = _Cap.build("upper", d_hi[: m_hi + 1]) if m_hi > 0 else None
         return cls(
             w_all=_window_weights(w, [0, ncell])[1],
             bulk=bulk,
             w_bulk=_pass_weights(t[bulk], w_bulk, half),
-            lower=_Cap.build(d_lo[: m_lo + 1]) if m_lo > 0 else None,
-            upper=_Cap.build(d_hi[: m_hi + 1]) if m_hi > 0 else None,
+            lower=lower,
+            upper=upper,
+            caps=tuple(cap for cap in (lower, upper) if cap is not None),
             ladder_lo=_window_weights(w, ladder[:4]) if len(ladder) > 4 else None,
         )
 
@@ -304,29 +310,26 @@ def _cap_integral(cap, logg, g, tol, scale):
     lead = logg[:3].tolist()
     l0, l1 = lead[0], lead[1]
     ext = float(g[0]) * d0  # rectangle over the sliver [0, d0]
-
-    def plain():
-        v, v2 = cap.passes(g)
-        return v, abs(v - v2) / 8.0
-
+    # the plain cubic over the cap takes both passes of g and the
+    # Richardson error abs(v - v2) / 8
     if not (math.isfinite(l0) and math.isfinite(l1)) or rel1 == 0.0:
-        v, e = plain()
+        v, v2 = cap.passes(g)
         note = "" if rel1 else "innermost distances share one log, so no exponent fit: " \
             "plain cubic with rectangle extension"
-        return v + ext, e + ext, False, note
+        return v + ext, abs(v - v2) / 8.0 + ext, False, note
     p = (l1 - l0) / rel1
     if p <= -0.999:
         proj = ext * 50.0
         if proj > 10.0 * tol * scale:
             return 0.0, 0.0, True, f"endpoint exponent {max(p, -1e9):.3f} <= -0.999"
-        v, e = plain()
-        return v, e + proj, False, ""
+        v, v2 = cap.passes(g)
+        return v, abs(v - v2) / 8.0 + proj, False, ""
     if p > 6.0 or p * rel_end > 40.0:
         # steep growth away from the endpoint: the sliver below d[0] is
         # negligible and the power-law model would span too many decades
         # for stable subtraction
-        v, e = plain()
-        return v + ext / (p + 1.0), e + ext / (p + 1.0), False, ""
+        v, v2 = cap.passes(g)
+        return v + ext / (p + 1.0), abs(v - v2) / 8.0 + ext / (p + 1.0), False, ""
 
     # remainder after subtracting the fitted power law, computed stably:
     # r = g - exp(lmodel) = -g * expm1(lmodel - logg) where both are finite
@@ -360,17 +363,34 @@ def _diverged(detail) -> QuadratureResult:
                             log_value=math.inf, detail=detail)
 
 
-def _integrate_table(rule, lv, lj, tol) -> QuadratureResult:
-    """Core integration routine on the compactified variable, over log
-    values lv plus log Jacobian lj (None when it is zero)."""
-    logg = lv if lj is None else lv + lj
-    M = float(logg.max())
+def integrate(density: GridDensity, tolerance: float = DEFAULT_TOL) -> QuadratureResult:
+    """Integrate a grid density over its declared support.
+
+    The tolerance is relative: converged means the internal error estimate
+    is within tolerance times the integral's magnitude. Divergence at a
+    support endpoint yields value = +inf with diverged = True rather than
+    an exception.
+
+    The integrand is the log values plus the log Jacobian, shifted by its
+    max M; an identity map adds no Jacobian, and M is then the max the
+    density keeps from checking its values.
+    """
+    if not (0 < tolerance < 1):
+        raise InputError("tolerance must be in (0, 1)")
+    slot = density._rule_slot
+    rule = slot.rule or _rule(density)
+    lv = density.log_values
     notes = []
-    if not M < math.inf:  # +inf/NaN at a node mapped onto t_lo or t_hi: a zero
-        at_end = ~(logg < math.inf)
-        notes.append(f"{int(at_end.sum())} node(s) mapped onto an endpoint counted as zero")
-        logg = np.where(at_end, -math.inf, logg)
-        M = float(logg.max())
+    if slot.unit_jacobian:
+        logg, M = lv, density._max
+    else:
+        logg = lv + density.log_jacobian
+        M = float(np.maximum.reduce(logg))
+        if not M < math.inf:  # +inf/NaN at a node mapped onto t_lo or t_hi: a zero
+            at_end = ~(logg < math.inf)
+            notes.append(f"{int(at_end.sum())} node(s) mapped onto an endpoint counted as zero")
+            logg = np.where(at_end, -math.inf, logg)
+            M = float(np.maximum.reduce(logg))
     if M == -math.inf:
         return QuadratureResult(value=0.0, abs_error_estimate=0.0, converged=True,
                                 diverged=False, log_value=-math.inf,
@@ -378,20 +398,17 @@ def _integrate_table(rule, lv, lj, tol) -> QuadratureResult:
     lg = np.subtract(logg, M, out=None if logg is lv else logg)  # never lv in place
     g = np.exp(lg)  # exp(-inf) = 0 marks the zeros
 
-    # bulk first: its magnitude anchors the divergence significance scale
-    val, bulk2 = _passes(rule.w_bulk, g[rule.bulk])
+    # bulk first: its magnitude anchors the divergence significance scale;
+    # einsum's own loop, not BLAS, whose bits can change with its thread count
+    val, bulk2 = np.einsum("ij,j->i", rule.w_bulk, g[rule.bulk]).tolist()
     err = abs(val - bulk2) / 8.0
     scale = max(abs(val), 1e-300)
-    for side, cap, lg_out, g_out in (("lower", rule.lower, lg, g),
-                                     ("upper", rule.upper, lg[::-1], g[::-1])):
-        if cap is None:
-            continue
-        m = len(cap.d)
-        v, e, dv, de = _cap_integral(cap, lg_out[:m], g_out[:m], tol, scale)
+    for cap in rule.caps:
+        v, e, dv, de = _cap_integral(cap, lg[cap.sel], g[cap.sel], tolerance, scale)
         if dv:
-            return _diverged(f"{side} {de}")
+            return _diverged(f"{cap.side} {de}")
         if de:
-            notes.append(f"{side} {de}")
+            notes.append(f"{cap.side} {de}")
         val += v
         err += e
 
@@ -403,30 +420,19 @@ def _integrate_table(rule, lv, lj, tol) -> QuadratureResult:
         # The upper endpoint has no ladder: the cap's exponent fit guards it.
         nodes, weights, starts = rule.ladder_lo
         near, mid, far = np.add.reduceat(weights * g[nodes], starts).tolist()
-        if min(near, mid, far) > 10.0 * tol * scale \
+        if min(near, mid, far) > 10.0 * tolerance * scale \
                 and mid >= 0.9995 * far and near >= 0.9995 * mid:
             return _diverged("lower tail contributions not stabilizing")
 
     logvalue = math.log(val) + M if val > 0 else -math.inf
-    with np.errstate(over="ignore") if M > 709.0 else contextlib.nullcontext():
-        e_M = float(np.exp(M))  # inf only from M ~ 709.78 on
-    return QuadratureResult(value=val * e_M, abs_error_estimate=err * e_M,
-                            converged=bool(err <= tol * max(abs(val), 1e-300)),
-                            diverged=False, log_value=logvalue, detail="; ".join(notes))
-
-
-def integrate(density: GridDensity, tolerance: float = DEFAULT_TOL) -> QuadratureResult:
-    """Integrate a grid density over its declared support.
-
-    The tolerance is relative: converged means the internal error estimate
-    is within tolerance times the integral's magnitude. Divergence at a
-    support endpoint yields value = +inf with diverged = True rather than
-    an exception.
-    """
-    if not (0 < tolerance < 1):
-        raise InputError("tolerance must be in (0, 1)")
-    lj = None if density._rule_slot.unit_jacobian else density.log_jacobian
-    return _integrate_table(_rule(density), density.log_values, lj, tolerance)
+    if M > 709.0:
+        with np.errstate(over="ignore"):
+            e_M = float(np.exp(M))  # inf from M ~ 709.78 on
+    else:
+        e_M = float(np.exp(M))
+    return QuadratureResult(val * e_M, err * e_M,
+                            bool(err <= tolerance * max(abs(val), 1e-300)),
+                            False, logvalue, "; ".join(notes))
 
 
 def normalize(density: GridDensity, tolerance: float = DEFAULT_TOL) -> GridDensity:

@@ -1,5 +1,6 @@
-"""Small shared helpers: the thread-pool worker count, value formatting,
-atomic text output, a median and a quantile of sorted values."""
+"""Small shared helpers: the thread-pool worker count, reading real
+numbers, value formatting, atomic text output, a median and a quantile of
+sorted values."""
 
 from __future__ import annotations
 
@@ -9,10 +10,35 @@ import tempfile
 
 import numpy as np
 
+from .errors import InputError
+
 
 def thread_cap() -> int:
     """Worker count for parallel sweeps: the CPU count, at most 8."""
     return min(os.cpu_count() or 1, 8)
+
+
+_PY_REALS = (float, int, bool)
+
+
+def real_values(values, message: str):
+    """values as Python floats with their dimension count: (float, 0) for a
+    scalar, (list, 1) for a sequence, nested lists above. A list or tuple
+    of Python floats, ints and bools is read without numpy, into the floats
+    numpy would give. Values numpy cannot read as floats are an InputError
+    with `message`."""
+    if type(values) in (list, tuple):
+        try:
+            floats = [float(v) for v in values if type(v) in _PY_REALS]
+        except OverflowError as exc:  # an int beyond the float range
+            raise InputError(message) from exc
+        if len(floats) == len(values):
+            return floats, 1
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(message) from exc
+    return arr.tolist(), arr.ndim
 
 
 def write_text_atomic(path: str, payload: str) -> None:

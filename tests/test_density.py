@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -269,6 +270,26 @@ def test_an_unpickled_density_is_read_only():
     for got, arr in zip((slot.log_x, slot.log1m_x), want):
         assert not got.flags.writeable and got.tobytes() == arr.tobytes()
     assert not slot.t_nodes.flags.writeable
+
+
+def test_a_density_keeps_the_max_of_its_log_values():
+    base = beta_density(2.5, 0.7)
+    lv = base.log_values.copy()
+    lv[[0, 7, -1]] = -math.inf
+    x = np.geomspace(1e-3, 1e3, 40)
+    built = (
+        base,
+        base.with_log_values(lv),
+        base.shifted(-3.25),
+        dataclasses.replace(base, log_values=lv[::-1].copy()),
+        pickle.loads(pickle.dumps(base.shifted(1.5))),
+        GridDensity(0.0, math.inf, x, -x),
+        gamma_density(3.0),
+        base.with_log_values(np.full_like(lv, -math.inf)),
+    )
+    for d in built:
+        assert type(d._max) is float
+        assert d._max == float(d.log_values.max())
 
 
 @pytest.mark.parametrize("values, ok", [

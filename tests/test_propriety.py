@@ -496,6 +496,126 @@ def test_count_likelihoods_accept_integers_and_refuse_the_rest(build, counts, wa
         assert lik.data == want and all(type(v) is int for v in want)
 
 
+_OBS = "observations must be a nonempty vector of finite reals"
+_NONEMPTY = "weights must form a nonempty 1-D vector"
+_FINITE = "weights must be finite and nonnegative"
+_SUM = "weights must sum to 1 within 1e-12"
+
+
+def _input_record(value):
+    """A built model's data, or a weight vector's alphas, as (type, float.hex)
+    pairs, so that -0.0, bools and ints show."""
+    if isinstance(value, PoolWeights):
+        assert value.alphas.dtype == float and not value.alphas.flags.writeable
+        value = value.alphas.tolist()
+    else:
+        value = value.data
+    return [(type(v).__name__, float(v).hex()) for v in value]
+
+
+# The rows under "was not an InputError" raised numpy's or Python's own
+# ValueError, TypeError or OverflowError before these builders read their
+# input in Python; every other row keeps the outcome and message it had.
+@pytest.mark.parametrize("build, value, want", [
+    # normal location: a scalar, sequences, numpy scalars and arrays
+    (normal_location, 0.5, (0.5,)),
+    (normal_location, -0.0, (-0.0,)),
+    (normal_location, (0.3,), (0.3,)),
+    (normal_location, [0.1, -2, True], (0.1, -2.0, 1.0)),
+    (normal_location, np.array([0.25, 1.5]), (0.25, 1.5)),
+    (normal_location, np.array(0.7), (0.7,)),
+    (normal_location, np.float32(0.1), (float(np.float32(0.1)),)),
+    (normal_location, [np.float64(0.2), 3], (0.2, 3.0)),
+    (normal_location, "0.5", (0.5,)),
+    (normal_location, [2 ** 63 + 1], (float(2 ** 63),)),
+    (normal_location, [1e308, 1e308], (1e308, 1e308)),
+    (normal_location, [], _OBS),
+    (normal_location, np.array([]), _OBS),
+    (normal_location, [[0.1, 0.2]], _OBS),
+    (normal_location, np.zeros((2, 2)), _OBS),
+    (normal_location, [math.nan], _OBS),
+    (normal_location, [math.inf], _OBS),
+    (normal_location, (0.0, -math.inf), _OBS),
+    (normal_location, None, _OBS),
+    (normal_location, [None], _OBS),
+    # was not an InputError
+    (normal_location, [[0.1], [0.2, 0.3]], _OBS),
+    (normal_location, "a", _OBS),
+    (normal_location, [1 + 0j], _OBS),
+    (normal_location, [10 ** 400], _OBS),
+    # pool weights
+    (PoolWeights, (0.3, 0.7), (0.3, 0.7)),
+    (PoolWeights, np.array([0.25, 0.75]), (0.25, 0.75)),
+    (PoolWeights, np.array([0.5, 0.5], dtype=np.float32), (0.5, 0.5)),
+    (PoolWeights, (1,), (1.0,)),
+    (PoolWeights, (True, False), (1.0, 0.0)),
+    (PoolWeights, (-0.0, 1.0), (-0.0, 1.0)),
+    (PoolWeights, ["0.5", "0.5"], (0.5, 0.5)),
+    (PoolWeights, [np.float64(0.25), 0.75], (0.25, 0.75)),
+    (PoolWeights, 1.0, _NONEMPTY),
+    (PoolWeights, [], _NONEMPTY),
+    (PoolWeights, [[0.5, 0.5]], _NONEMPTY),
+    (PoolWeights, np.ones((1, 2)) / 2, _NONEMPTY),
+    (PoolWeights, [math.nan, 1.0], _FINITE),
+    (PoolWeights, [1.0, math.nan], _FINITE),
+    (PoolWeights, [math.inf, 0.0], _FINITE),
+    (PoolWeights, [-math.inf, 1.0], _FINITE),
+    (PoolWeights, [-0.1, 1.1], _FINITE),
+    (PoolWeights, [None, 1.0], _FINITE),
+    (PoolWeights, [1e308, 1e308], _SUM),
+    # sums at 1 +- 1e-12: 2 and 3 weights add in order, 9 pairwise; the
+    # 3-weight row is refused when added in reverse, the last 9-weight row
+    # accepted when added in order
+    (PoolWeights, (0.5, 0.5 + 0.9e-12), (0.5, 0.5 + 0.9e-12)),
+    (PoolWeights, (0.5, 0.5 + 1.1e-12), _SUM),
+    (PoolWeights, (0.5, 0.5 - 0.9e-12), (0.5, 0.5 - 0.9e-12)),
+    (PoolWeights, (0.5, 0.5 - 1.1e-12), _SUM),
+    (PoolWeights, (0.2, 1 / 7, 0.6571428571418572), (0.2, 1 / 7, 0.6571428571418572)),
+    (PoolWeights, (0.25, 0.25, 0.5 + 1.1e-12), _SUM),
+    (PoolWeights, [0.1] * 8 + [0.2], (0.1,) * 8 + (0.2,)),
+    (PoolWeights, [0.1] * 8 + [0.2 + 1.1e-12], _SUM),
+    (PoolWeights, [0.1, 0.1, 0.1, 0.05, 0.1, 0.2, 0.05, 0.1, 0.20000000000099996], _SUM),
+    # was not an InputError
+    (PoolWeights, [0.5, "a"], _FINITE),
+    (PoolWeights, [[0.5], [0.5, 0.5]], _FINITE),
+    (PoolWeights, [0.5, 0.5 + 0j], _FINITE),
+    (PoolWeights, [10 ** 400, 0], _FINITE),
+    # count builders: signed zero, and ragged nestings
+    (poisson_counts, [-0.0], (0, 1)),
+    (multinomial_counts, [-0.0, 3], (0, 3)),
+    # was not an InputError
+    (poisson_counts, [[1], [2, 3]], _COUNTS),
+    (poisson_counts, [1, [2]], _COUNTS),
+    (multinomial_counts, [[1], [2, 3]], _TOTAL),
+])
+def test_builders_accept_real_inputs_and_refuse_the_rest(build, value, want):
+    if isinstance(want, str):
+        with pytest.raises(InputError) as info:
+            build(value)
+        assert str(info.value) == want
+    elif build in (poisson_counts, multinomial_counts):
+        assert build(value).data == want
+    else:
+        assert _input_record(build(value)) == \
+            [(type(v).__name__, float(v).hex()) for v in want]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 16])
+def test_normal_location_kernel_matches_the_array_sum_bit_for_bit(k):
+    # numpy sums fewer than 8 terms in order, as the kernel's loop does, and
+    # more pairwise, which the kernel leaves to numpy
+    obs = np.random.default_rng(k).normal(0.0, 3.0, k)
+    x = exp_tilt_density(0.0).nodes
+    want = -0.5 * np.sum((x[:, None] - obs[None, :]) ** 2, axis=-1)
+    lik = normal_location(obs)
+    assert lik.log_on(x).tobytes() == want.tobytes()
+    assert lik.log_on(exp_tilt_density(0.0)).tobytes() == want.tobytes()
+    # a scalar keeps numpy's broadcast, shape (1,) included
+    scalar = -0.5 * np.sum((np.asarray(0.5)[..., None] - obs[None, :]) ** 2, axis=-1)
+    got = lik.log_on(0.5)
+    assert got.shape == scalar.shape == (1,) and got.tobytes() == scalar.tobytes()
+
+
 def _count_grids():
     """A bounded, a half-line and a user-built grid, every node in (0, 1)."""
     x = np.geomspace(1e-6, 0.999, 300)

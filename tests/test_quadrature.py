@@ -179,7 +179,9 @@ def test_converged_is_a_python_bool():
                                       normal_density())]
     results.append(posterior_mass(beta_density(2.0, 2.0),
                                   binomial_counts(0, 30)).mass)
-    assert [r.converged for r in results] == [True, True, True, False]
+    # a numpy scalar tolerance would make the comparison a numpy bool
+    results.append(integrate(beta_density(2.0, 2.0), np.float64(1e-8)))
+    assert [r.converged for r in results] == [True, True, True, False, True]
     assert all(type(r.converged) is bool for r in results)
 
 
@@ -519,6 +521,23 @@ def test_kernel_matches_the_per_pass_reference(kind, p, q, r, zeros, at):
     assert math.isclose(got.value, want.value, rel_tol=1e-14)
     # a log-value's absolute difference is the value's relative one
     assert math.isclose(got.log_value, want.log_value, rel_tol=1e-14, abs_tol=1e-14)
+
+
+@pytest.mark.parametrize("zeros", [(), (0,), (-1,), (2048,), (0, 3, 2048, -4, -1)])
+def test_integrate_shifts_by_the_stored_max_bit_for_bit(zeros):
+    # the twin shares the values but not the slot, and its slot is marked as
+    # having a Jacobian: integrate then adds the zero log Jacobian and takes
+    # the max of the sum itself, as it did before densities kept their max
+    base = beta_density(2.5, 3.5)
+    lv = base.log_values.copy()
+    lv[list(zeros)] = -math.inf  # a -inf node in a cap (0, 3, -4, -1) or the bulk
+    d = base.with_log_values(lv)
+    twin = replace(d)
+    twin._rule_slot.unit_jacobian = False
+    rule = _rule(d)
+    assert 3 < len(rule.lower.d) and 4 < len(rule.upper.d) and rule.bulk.start < 2048
+    assert repr(integrate(d)) == repr(integrate(twin))
+    assert repr(integrate(d, 1e-12)) == repr(integrate(twin, 1e-12))
 
 
 def test_a_node_at_the_mapped_endpoint_counts_as_zero():

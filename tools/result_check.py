@@ -33,11 +33,18 @@ down to 1e-4, gamma, flat, normal and exp-tilt densities, and one
 component of each family built by the CLI, on a default grid and on a
 grid read from a file), and the log kernel of every likelihood family
 (binomial at k = 0, k = n and in between, Poisson with total 0 and > 0,
-normal location and a table) on default bounded, half-line and real-line
+normal location with 1, 2, 7, 8 and 9 observations, 8 being where numpy's
+sum turns pairwise, and a table) on default bounded, half-line and real-line
 grids and on grids built from nodes. Each kernel is taken twice: through
 `propriety`'s grid path, as a posterior sees it, and through
 `log_on` on a plain array of the same nodes. An array is recorded as the
 sha256 of its bytes and `float.hex` of its two end values.
+
+A seventh kind, `inputs`, records what `PoolWeights` and `normal_location`
+make of a table of inputs: the weights' `alphas` and the observations a
+model keeps, as `float.hex`, or the refusal's message. It covers scalars,
+numpy arrays and scalars, 2-D and empty input, NaN, +-inf, -0.0, bools,
+numeric strings, and weight sums at 1 +- 1e-12 with 2, 3 and 9 weights.
 
 Every float is recorded as `float.hex`, next to the flags, the
 diagnostics and the text of any exception raised. Every case whose record
@@ -200,6 +207,9 @@ def _kernel_arrays(tmp):
         "poisson-0": likelihoods.poisson_counts((0, 0)),
         "poisson-9": likelihoods.poisson_counts((2, 0, 7)),
         "normal-location": likelihoods.normal_location((0.3, -1.2)),
+        # fewer than 8 observations are summed in order, 8 and more pairwise
+        **{f"normal-location-{k}": likelihoods.normal_location(
+            np.random.default_rng(k).normal(0.0, 2.0, k)) for k in (1, 7, 8, 9)},
         "grid": table,
     }
     for name, lik in models.items():
@@ -209,6 +219,34 @@ def _kernel_arrays(tmp):
             fresh = grid.with_log_values(grid.log_values)  # an empty memo
             yield f"log-on-{name}-{grid_name}-grid", propriety._log_likelihood_on(fresh, lik)
             yield f"log-on-{name}-{grid_name}-array", lik.log_on(np.array(grid.nodes))
+
+
+def _inputs():
+    """(label, builder, input) of the `inputs` kind: what the weight and
+    normal-location builders accept, and what they refuse with their own
+    message."""
+    import math
+
+    import numpy as np
+
+    from prior_forge import likelihoods, pooling
+
+    near = (0.5 + 0.9e-12, 0.5 + 1.1e-12, 0.5 - 0.9e-12, 0.5 - 1.1e-12)
+    weights = [(0.3, 0.7), np.array([0.25, 0.75]), np.array([0.5, 0.5], dtype=np.float32),
+               (1,), (True, False), (-0.0, 1.0), ["0.5", "0.5"], 1.0, [], [[0.5, 0.5]],
+               [math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0], [-math.inf, 1.0],
+               [-0.1, 1.1], [None, 1.0], [1e308, 1e308], *((0.5, w) for w in near),
+               (0.2, 1 / 7, 0.6571428571418572), (0.25, 0.25, 0.5 + 1.1e-12),
+               [0.1] * 8 + [0.2], [0.1] * 8 + [0.2 + 1.1e-12],
+               [0.1, 0.1, 0.1, 0.05, 0.1, 0.2, 0.05, 0.1, 0.20000000000099996]]
+    observations = [0.5, -0.0, (0.3,), [0.1, -2, True], np.array([0.25, 1.5]),
+                    np.array(0.7), np.float32(0.1), "0.5", [2 ** 63 + 1],
+                    [1e308, 1e308], [], [[0.1, 0.2]], np.zeros((2, 2)), [math.nan],
+                    [math.inf], (0.0, -math.inf), None, [None]]
+    for i, value in enumerate(weights):
+        yield f"weights-{i:02d}", lambda v: pooling.PoolWeights(v).alphas.tolist(), value
+    for i, value in enumerate(observations):
+        yield f"normal-location-{i:02d}", lambda v: likelihoods.normal_location(v).data, value
 
 
 def _array_record(arr):
@@ -246,6 +284,8 @@ def record() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for label, arr in _kernel_arrays(tmp):
             out[f"kernels-{label}"] = _array_record(arr)
+    for label, build, value in _inputs():
+        out[f"inputs-{label}"] = _attempt(build, value)
     return out
 
 
